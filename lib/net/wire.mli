@@ -59,9 +59,6 @@ val describe_request : request -> string
 val describe_reply : reply -> string
 (** One-line renderings for diagnostics and test oracles. *)
 
-val max_payload : int
-val header_bytes : int
-
 val encode_request_into : Buffer.t -> request -> unit
 val encode_request : request -> string
 (** Raise [Invalid_argument] on a negative id, a key longer than

@@ -10,11 +10,9 @@
      tag 3 Update : u16 key_len | key bytes | u64 tid
      tag 4 Bound  : u64 bound
 
-   The decoder is total: every failure — truncation, bit flip, bad
-   tag, over-long length, trailing payload bytes — is an [Error],
-   never an exception and never a wrong record (the CRC covers the
-   whole payload, the length field is bounded before any allocation,
-   and the payload must be consumed exactly). *)
+   The envelope (header, length bounds, CRC, field readers, exact
+   consumption) is {!Envelope}; this module owns the tags and their
+   fields.  Decoding is total: every failure is an [Error]. *)
 
 type record =
   | Insert of { lsn : int; key : string; tid : int }
@@ -27,9 +25,7 @@ let lsn = function
     ->
     lsn
 
-let hex s =
-  String.concat ""
-    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+let hex = Envelope.hex
 
 let describe = function
   | Insert { lsn; key; tid } ->
@@ -42,44 +38,21 @@ let describe = function
 (* Keys are short fixed-length byte strings (u16 length field); the
    largest payload is tag + lsn + key_len + key + tid. *)
 let max_payload = 1 + 8 + 2 + 0xffff + 8
-let header_bytes = 8
 
 (* --- Encoding -------------------------------------------------------- *)
 
-let add_key buf key =
-  if String.length key > 0xffff then invalid_arg "Frame.encode: key too long";
-  Buffer.add_uint16_le buf (String.length key);
-  Buffer.add_string buf key
-
-let encode_payload buf r =
-  match r with
-  | Insert { lsn; key; tid } ->
-    Buffer.add_uint8 buf 1;
-    Buffer.add_int64_le buf (Int64.of_int lsn);
-    add_key buf key;
-    Buffer.add_int64_le buf (Int64.of_int tid)
-  | Remove { lsn; key } ->
-    Buffer.add_uint8 buf 2;
-    Buffer.add_int64_le buf (Int64.of_int lsn);
-    add_key buf key
-  | Update { lsn; key; tid } ->
-    Buffer.add_uint8 buf 3;
-    Buffer.add_int64_le buf (Int64.of_int lsn);
-    add_key buf key;
-    Buffer.add_int64_le buf (Int64.of_int tid)
-  | Bound { lsn; bound } ->
-    Buffer.add_uint8 buf 4;
-    Buffer.add_int64_le buf (Int64.of_int lsn);
-    Buffer.add_int64_le buf (Int64.of_int bound)
-
 let encode_into buf r =
-  if lsn r < 0 then invalid_arg "Frame.encode: negative lsn";
-  let payload = Buffer.create 32 in
-  encode_payload payload r;
-  let p = Buffer.contents payload in
-  Buffer.add_int32_le buf (Int32.of_int (String.length p));
-  Buffer.add_int32_le buf (Int32.of_int (Crc32.string p));
-  Buffer.add_string buf p
+  let payload = Envelope.payload ~what:"Frame.encode" in
+  let with_int p v =
+    Buffer.add_int64_le p (Int64.of_int v);
+    p
+  in
+  Envelope.add buf
+    (match r with
+    | Insert { lsn; key; tid } -> with_int (payload ~tag:1 ~key lsn) tid
+    | Remove { lsn; key } -> payload ~tag:2 ~key lsn
+    | Update { lsn; key; tid } -> with_int (payload ~tag:3 ~key lsn) tid
+    | Bound { lsn; bound } -> with_int (payload ~tag:4 lsn) bound)
 
 let encode r =
   let buf = Buffer.create 48 in
@@ -88,74 +61,25 @@ let encode r =
 
 (* --- Decoding -------------------------------------------------------- *)
 
-let u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xffffffff
-
-let i64 s pos =
-  let v = String.get_int64_le s pos in
-  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
-    None
-  else Some (Int64.to_int v)
+let parse c =
+  let tag = Envelope.u8 c in
+  let lsn = Envelope.int ~what:"lsn" c in
+  match tag with
+  | 1 ->
+    let key = Envelope.key c in
+    Insert { lsn; key; tid = Envelope.int ~what:"tid" c }
+  | 2 -> Remove { lsn; key = Envelope.key c }
+  | 3 ->
+    let key = Envelope.key c in
+    Update { lsn; key; tid = Envelope.int ~what:"tid" c }
+  | 4 -> Bound { lsn; bound = Envelope.int ~what:"bound" c }
+  | t -> Envelope.bad "unknown tag %d" t
 
 let decode s ~pos =
-  let n = String.length s in
-  if pos < 0 || pos > n then Error "position out of range"
-  else if n - pos < header_bytes then Error "truncated frame header"
-  else begin
-    let len = u32 s pos in
-    let crc = u32 s (pos + 4) in
-    if len < 9 || len > max_payload then
-      Error (Printf.sprintf "implausible payload length %d" len)
-    else if n - pos - header_bytes < len then Error "truncated payload"
-    else begin
-      let base = pos + header_bytes in
-      if Crc32.string ~pos:base ~len s <> crc then Error "crc mismatch"
-      else begin
-        (* CRC passed: the payload is byte-exact, so field errors below
-           can only come from an encoder this decoder does not know —
-           still rejected, never a guess. *)
-        let tag = Char.code s.[base] in
-        let with_key k =
-          (* [k pos key] parses the tag-specific tail after the key. *)
-          if len < 11 then Error "payload too short for key"
-          else begin
-            let klen = Char.code s.[base + 9] lor (Char.code s.[base + 10] lsl 8) in
-            if 11 + klen > len then Error "key overruns payload"
-            else k (base + 11 + klen) (String.sub s (base + 9 + 2) klen)
-          end
-        in
-        let finish consumed r =
-          if consumed - base <> len then Error "payload length mismatch"
-          else Ok (r, base + len)
-        in
-        match i64 s (base + 1) with
-        | None -> Error "bad lsn"
-        | Some lsn -> (
-          match tag with
-          | 1 ->
-            with_key (fun p key ->
-                if p + 8 > base + len then Error "truncated tid"
-                else
-                  match i64 s p with
-                  | None -> Error "bad tid"
-                  | Some tid -> finish (p + 8) (Insert { lsn; key; tid }))
-          | 2 -> with_key (fun p key -> finish p (Remove { lsn; key }))
-          | 3 ->
-            with_key (fun p key ->
-                if p + 8 > base + len then Error "truncated tid"
-                else
-                  match i64 s p with
-                  | None -> Error "bad tid"
-                  | Some tid -> finish (p + 8) (Update { lsn; key; tid }))
-          | 4 ->
-            if len <> 17 then Error "bad bound payload"
-            else (
-              match i64 s (base + 9) with
-              | None -> Error "bad bound"
-              | Some bound -> finish (base + 17) (Bound { lsn; bound }))
-          | t -> Error (Printf.sprintf "unknown tag %d" t))
-      end
-    end
-  end
+  match Envelope.read ~max_payload parse s ~pos with
+  | Ok _ as ok -> ok
+  | Error Envelope.Short -> Error "truncated frame"
+  | Error (Envelope.Bad msg) -> Error msg
 
 let decode_all s =
   let n = String.length s in

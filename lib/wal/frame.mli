@@ -26,9 +26,6 @@ val encode : record -> string
 
 val encode_into : Buffer.t -> record -> unit
 
-val header_bytes : int
-(** Frame header size (length + CRC words). *)
-
 val decode : string -> pos:int -> (record * int, string) result
 (** [decode s ~pos] reads one frame starting at [pos] and returns the
     record plus the position one past it.  Any malformation — short

@@ -94,3 +94,22 @@ let prop_random_flip ~name ~arb ~encode ~verdict ~allowed =
     (fun (v, i) ->
       let s = encode v in
       allowed (verdict (flip_bit s (i mod (String.length s * 8)))))
+
+(* Golden byte vectors pin the format itself: the WAL on disk and the
+   bytes on the wire.  Each [(value, hex)] must encode to exactly
+   [hex] and decode back to [value]; a failure here means a log written
+   by an earlier build could no longer be read. *)
+let check_golden ~what ~describe ~encode ~decodes vectors =
+  let to_hex s =
+    String.concat ""
+      (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  List.iter
+    (fun (v, hex) ->
+      let got = to_hex (encode v) in
+      if not (String.equal got hex) then
+        Alcotest.failf "%s: %s encodes to %s, golden %s" what (describe v) got hex;
+      if not (decodes (encode v) v) then
+        Alcotest.failf "%s: golden bytes of %s do not decode back" what
+          (describe v))
+    vectors

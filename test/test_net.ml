@@ -183,6 +183,41 @@ let forge payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
+let test_golden () =
+  H.check_golden ~what:"request" ~describe:Wire.describe_request
+    ~encode:Wire.encode_request
+    ~decodes:(fun s r ->
+      match Wire.decode_request s ~pos:0 with
+      | Wire.Done (r', n) -> r' = r && n = String.length s
+      | Wire.More | Wire.Corrupt _ -> false)
+    [
+      ( { Wire.id = 0; op = Wire.Insert "k0000001" },
+        "13000000af845cc401000000000000000008006b30303030303031" );
+      ( { Wire.id = 1; op = Wire.Remove (String.make 8 '\xff') },
+        "13000000fe395f160201000000000000000800ffffffffffffffff" );
+      ( { Wire.id = 0x7fff_ffff; op = Wire.Update "\x00\x01\x02\x03" },
+        "0f00000020c167ae03ffffff7f00000000040000010203" );
+      ( { Wire.id = 2; op = Wire.Find "" },
+        "0b0000005312abdf0402000000000000000000" );
+      ( { Wire.id = 3; op = Wire.Scan ("abcdefgh", 0xffffffff) },
+        "17000000bd48db7105030000000000000008006162636465666768ffffffff" );
+    ];
+  H.check_golden ~what:"reply" ~describe:Wire.describe_reply
+    ~encode:Wire.encode_reply
+    ~decodes:(fun s r ->
+      match Wire.decode_reply s ~pos:0 with
+      | Wire.Done (r', n) -> r' = r && n = String.length s
+      | Wire.More | Wire.Corrupt _ -> false)
+    [
+      ( { Wire.rid = 0; status = Wire.Applied (-1) },
+        "11000000b568d89a100000000000000000ffffffffffffffff" );
+      ( { Wire.rid = 0x7fff_ffff; status = Wire.Applied 0x7fff_ffff },
+        "110000007969ab4610ffffff7f00000000ffffff7f00000000" );
+      ( { Wire.rid = 3; status = Wire.Rejected }, "090000007f453dd3110300000000000000" );
+      ( { Wire.rid = 4; status = Wire.Timed_out }, "09000000a37075e0120400000000000000" );
+      ( { Wire.rid = 5; status = Wire.Busy }, "090000007e64a43b130500000000000000" );
+    ]
+
 let test_valid_crc_forgeries () =
   let le64 v =
     String.init 8 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
@@ -592,6 +627,7 @@ let () =
             test_length_lies;
           Alcotest.test_case "valid-CRC forgeries refused" `Quick
             test_valid_crc_forgeries;
+          Alcotest.test_case "golden bytes per tag" `Quick test_golden;
         ] );
       ( "conn",
         [

@@ -126,6 +126,24 @@ let prop_random_flip =
     ~arb:record_arb ~encode:Frame.encode ~verdict:frame_verdict
     ~allowed:rejected
 
+let test_golden () =
+  Codec_harness.check_golden ~what:"wal frame" ~describe:Frame.describe
+    ~encode:Frame.encode
+    ~decodes:(fun s r ->
+      match Frame.decode s ~pos:0 with
+      | Ok (r', n) -> r' = r && n = String.length s
+      | Error _ -> false)
+    [
+      ( Frame.Insert { lsn = 1; key = "k0000001"; tid = 7 },
+        "1b000000b1cd17e001010000000000000008006b303030303030310700000000000000" );
+      ( Frame.Remove { lsn = 2; key = String.make 8 '\xff' },
+        "130000009ce4d9fc0202000000000000000800ffffffffffffffff" );
+      ( Frame.Update { lsn = 77; key = "\x00\x01\x02\x03\x04\x05\x06\x07"; tid = 0 },
+        "1b0000009252b41c034d00000000000000080000010203040506070000000000000000" );
+      ( Frame.Bound { lsn = 123456789; bound = 1 lsl 24 },
+        "11000000a813cb760415cd5b07000000000000000100000000" );
+    ]
+
 let test_torn_tail_decode () =
   let rs = fixed_records in
   let b = Buffer.create 256 in
@@ -465,6 +483,7 @@ let () =
           Alcotest.test_case "length-field lies rejected" `Quick
             test_length_lies;
           Alcotest.test_case "torn tail localised" `Quick test_torn_tail_decode;
+          Alcotest.test_case "golden bytes per tag" `Quick test_golden;
         ] );
       ( "recovery",
         [
