@@ -54,20 +54,6 @@ let median_mops ?(warmup = 1) ?(repeat = 3) ops f =
 
 let results_file = "BENCH_results.json"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let reset_results () =
   let oc = open_out results_file in
   close_out oc
@@ -79,26 +65,24 @@ let reset_results () =
    [p50_ns]/[p99_ns]/[p999_ns]; prior keys are unchanged, so old lines
    and old consumers keep parsing. *)
 let emit_record ?quantiles ~name ~params ~ops_per_sec ~bytes () =
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 results_file
-  in
-  let params_json =
-    params
-    |> List.map (fun (k, v) ->
-           Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
-    |> String.concat ", "
-  in
-  let quantiles_json =
+  let open Ei_util.Mini_json in
+  let quantiles =
     match quantiles with
-    | None -> ""
+    | None -> []
     | Some (p50, p99, p999) ->
-      Printf.sprintf ", \"p50_ns\": %d, \"p99_ns\": %d, \"p999_ns\": %d" p50
-        p99 p999
+      [ ("p50_ns", Int p50); ("p99_ns", Int p99); ("p999_ns", Int p999) ]
   in
-  Printf.fprintf oc
-    "{\"name\": \"%s\", \"params\": {%s}, \"ops_per_sec\": %.0f, \"bytes\": %d, \"scale\": %g, \"seed\": %d%s}\n"
-    (json_escape name) params_json ops_per_sec bytes scale seed quantiles_json;
-  close_out oc
+  append_line results_file
+    (Obj
+       ([
+          ("name", Str name);
+          ("params", Obj (List.map (fun (k, v) -> (k, Str v)) params));
+          ("ops_per_sec", Int (Float.to_int (Float.round ops_per_sec)));
+          ("bytes", Int bytes);
+          ("scale", Float scale);
+          ("seed", Int seed);
+        ]
+       @ quantiles))
 
 let emit ~name ~params ~ops_per_sec ~bytes =
   emit_record ~name ~params ~ops_per_sec ~bytes ()

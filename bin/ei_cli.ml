@@ -710,19 +710,29 @@ let bench_net_cmd =
         s.Client.timed_out s.Client.busy;
       Printf.printf "  latency p50 %8.1f us   p99 %8.1f us   p999 %8.1f us\n"
         (us (q 0.5)) (us (q 0.99)) (us (q 0.999));
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 results in
-      Printf.fprintf oc
-        "{\"name\": \"net-cli\", \"params\": {\"mode\": \"%s\", \"clients\": \
-         \"%d\", \"count\": \"%d\", \"%s\": \"%s\"}, \"ops_per_sec\": %.0f, \
-         \"bytes\": 0, \"scale\": 1, \"seed\": 0, \"p50_ns\": %d, \
-         \"p99_ns\": %d, \"p999_ns\": %d}\n"
-        mode_name clients count
-        (match mode with `Closed -> "window" | `Open -> "rate")
-        (match mode with
-        | `Closed -> string_of_int window
-        | `Open -> Printf.sprintf "%.0f" rate)
-        (mops *. 1e6) (q 0.5) (q 0.99) (q 0.999);
-      close_out oc
+      let open Ei_util.Mini_json in
+      append_line results
+        (Obj
+           [
+             ("name", Str "net-cli");
+             ( "params",
+               Obj
+                 [
+                   ("mode", Str mode_name);
+                   ("clients", Str (string_of_int clients));
+                   ("count", Str (string_of_int count));
+                   (match mode with
+                   | `Closed -> ("window", Str (string_of_int window))
+                   | `Open -> ("rate", Str (Printf.sprintf "%.0f" rate)));
+                 ] );
+             ("ops_per_sec", Int (Float.to_int (Float.round (mops *. 1e6))));
+             ("bytes", Int 0);
+             ("scale", Int 1);
+             ("seed", Int 0);
+             ("p50_ns", Int (q 0.5));
+             ("p99_ns", Int (q 0.99));
+             ("p999_ns", Int (q 0.999));
+           ])
   in
   let term =
     Term.(const run $ net_socket_arg $ net_port_arg $ net_host_arg

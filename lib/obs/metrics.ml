@@ -363,29 +363,10 @@ let dump_prometheus () =
     s.snap_histograms;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let dump_json () =
   let s = snapshot () in
-  let b = Buffer.create 4096 in
-  let obj fields =
-    "{" ^ String.concat ", " fields ^ "}"
-  in
-  let scalars kvs =
-    List.map (fun (n, v) -> Printf.sprintf "\"%s\": %d" (json_escape n) v) kvs
-  in
+  let open Ei_util.Mini_json in
+  let scalars kvs = Obj (List.map (fun (n, v) -> (n, Int v)) kvs) in
   let qname q =
     (* 0.5 -> "p50", 0.999 -> "p999" *)
     match Printf.sprintf "%g" q with
@@ -395,33 +376,24 @@ let dump_json () =
     | "0.999" -> "p999"
     | s -> "p" ^ s
   in
-  let hists =
-    List.map
-      (fun (n, hs) ->
-        Printf.sprintf "\"%s\": %s" (json_escape n)
-          (obj
-             (Printf.sprintf "\"count\": %d" hs.hs_count
-             :: Printf.sprintf "\"sum\": %d" hs.hs_sum
-             :: Printf.sprintf "\"min_ns\": %d" hs.hs_min
-             :: Printf.sprintf "\"max_ns\": %d" hs.hs_max
-             :: List.map
-                  (fun (q, v) -> Printf.sprintf "\"%s_ns\": %d" (qname q) v)
-                  hs.hs_quantiles
-             @ List.filter_map
-                 (fun (q, tr) ->
-                   if tr = 0 then None
-                   else
-                     Some
-                       (Printf.sprintf "\"%s_exemplar\": %d" (qname q) tr))
-                 hs.hs_exemplars)))
-      s.snap_histograms
+  let hist hs =
+    Obj
+      ([
+         ("count", Int hs.hs_count);
+         ("sum", Int hs.hs_sum);
+         ("min_ns", Int hs.hs_min);
+         ("max_ns", Int hs.hs_max);
+       ]
+      @ List.map (fun (q, v) -> (qname q ^ "_ns", Int v)) hs.hs_quantiles
+      @ List.filter_map
+          (fun (q, tr) -> if tr = 0 then None else Some (qname q ^ "_exemplar", Int tr))
+          hs.hs_exemplars)
   in
-  Buffer.add_string b
-    (obj
+  to_string
+    (Obj
        [
-         Printf.sprintf "\"counters\": %s" (obj (scalars s.snap_counters));
-         Printf.sprintf "\"gauges\": %s" (obj (scalars s.snap_gauges));
-         Printf.sprintf "\"probes\": %s" (obj (scalars s.snap_probes));
-         Printf.sprintf "\"histograms\": %s" (obj hists);
-       ]);
-  Buffer.contents b
+         ("counters", scalars s.snap_counters);
+         ("gauges", scalars s.snap_gauges);
+         ("probes", scalars s.snap_probes);
+         ("histograms", Obj (List.map (fun (n, hs) -> (n, hist hs)) s.snap_histograms));
+       ])

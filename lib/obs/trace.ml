@@ -192,20 +192,6 @@ let events () = fold_events (fun n ~domain:_ ~ts:_ ~id:_ ~a:_ ~b:_ -> n + 1) 0
 
 (* --- Chrome trace_events export --------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let export_json () =
   let ks = !kinds in
   let evs =
@@ -242,52 +228,38 @@ let export_json () =
           (1 + Option.value ~default:0 (Itbl.find_opt flow_total trace)))
     evs;
   let flow_seen = Itbl.create 64 in
-  let buf = Buffer.create (65536 + (List.length evs * 96)) in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  let first = ref true in
-  let add_obj s =
-    if !first then first := false else Buffer.add_string buf ",";
-    Buffer.add_string buf "\n";
-    Buffer.add_string buf s
-  in
+  let open Ei_util.Mini_json in
+  let out = ref [] in
+  let add fields = out := Obj fields :: !out in
   List.iter
     (fun d ->
-      add_obj
-        (Printf.sprintf
-           "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": %d, \
-            \"args\": {\"name\": \"domain %d\"}}"
-           d d))
+      add
+        [ ("name", Str "thread_name"); ("ph", Str "M"); ("pid", Int 1); ("tid", Int d);
+          ("args", Obj [ ("name", Str (Printf.sprintf "domain %d" d)) ]) ])
     doms;
   List.iter
     (fun (ts, dom, id, a, b, trace, span, parent) ->
       let k = kind_of id in
-      let us = float_of_int (ts - t0) /. 1e3 in
-      let arg dflt nm v =
-        Printf.sprintf "\"%s\": %d" (json_escape (if nm = "" then dflt else nm)) v
-      in
+      let us = Float (float_of_int (ts - t0) /. 1e3) in
+      let arg dflt nm v = ((if nm = "" then dflt else nm), Int v) in
       let ctx_args =
-        if trace = 0 then ""
-        else
-          Printf.sprintf ", \"trace\": %d, \"span\": %d, \"parent\": %d" trace
-            span parent
+        if trace = 0 then []
+        else [ ("trace", Int trace); ("span", Int span); ("parent", Int parent) ]
       in
-      let obj =
-        if k.ev_span then
-          Printf.sprintf
-            "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": %.3f, \
-             \"dur\": %.3f, \"pid\": 1, \"tid\": %d, \"args\": {%s%s}}"
-            (json_escape k.ev_name) (json_escape k.ev_cat) us
-            (float_of_int a /. 1e3)
-            dom
-            (arg "a1" k.ev_arg1 b) ctx_args
-        else
-          Printf.sprintf
-            "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \
-             \"ts\": %.3f, \"pid\": 1, \"tid\": %d, \"args\": {%s, %s%s}}"
-            (json_escape k.ev_name) (json_escape k.ev_cat) us dom
-            (arg "a0" k.ev_arg0 a) (arg "a1" k.ev_arg1 b) ctx_args
-      in
-      add_obj obj;
+      let named = [ ("name", Str k.ev_name); ("cat", Str k.ev_cat) ] in
+      let on_track = [ ("pid", Int 1); ("tid", Int dom) ] in
+      if k.ev_span then
+        add
+          (named
+          @ [ ("ph", Str "X"); ("ts", us); ("dur", Float (float_of_int a /. 1e3)) ]
+          @ on_track
+          @ [ ("args", Obj (arg "a1" k.ev_arg1 b :: ctx_args)) ])
+      else
+        add
+          (named
+          @ [ ("ph", Str "i"); ("s", Str "t"); ("ts", us) ]
+          @ on_track
+          @ [ ("args", Obj (arg "a0" k.ev_arg0 a :: arg "a1" k.ev_arg1 b :: ctx_args)) ]);
       if trace <> 0 && k.ev_span then begin
         match Itbl.find_opt flow_total trace with
         | Some total when total >= 2 ->
@@ -297,21 +269,17 @@ let export_json () =
           Itbl.replace flow_seen trace seen;
           (* Same ts as the slice it binds to, emitted right after it,
              so the stream stays sorted by ts. *)
-          let ph, bp =
-            if seen = 1 then ("s", "")
-            else if seen = total then ("f", ", \"bp\": \"e\"")
-            else ("t", ", \"bp\": \"e\"")
-          in
-          add_obj
-            (Printf.sprintf
-               "{\"name\": \"req\", \"cat\": \"flow\", \"ph\": \"%s\", \
-                \"ts\": %.3f, \"pid\": 1, \"tid\": %d, \"id\": %d%s}"
-               ph us dom trace bp)
+          let ph = if seen = 1 then "s" else if seen = total then "f" else "t" in
+          add
+            ([ ("name", Str "req"); ("cat", Str "flow"); ("ph", Str ph); ("ts", us) ]
+            @ on_track
+            @ (("id", Int trace) :: (if seen = 1 then [] else [ ("bp", Str "e") ])))
         | _ -> ()
       end)
     evs;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  to_string
+    (Obj [ ("displayTimeUnit", Str "ms"); ("traceEvents", List (List.rev !out)) ])
+  ^ "\n"
 
 let write_json path =
   let oc = open_out path in

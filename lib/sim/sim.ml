@@ -31,7 +31,7 @@ module Index_ops = Ei_harness.Index_ops
 module Registry = Ei_harness.Registry
 module Olc = Ei_olc.Btree_olc
 module Wal = Ei_wal.Wal
-module J = Mini_json
+module J = Ei_util.Mini_json
 
 (* --- Subjects --------------------------------------------------------- *)
 

@@ -133,8 +133,8 @@ type artifact =
     }
   | A_serve of { seed : int; shards : int; scale : float; error : string }
 
-val artifact_to_json : artifact -> Mini_json.t
-val artifact_of_json : Mini_json.t -> (artifact, string) result
+val artifact_to_json : artifact -> Ei_util.Mini_json.t
+val artifact_of_json : Ei_util.Mini_json.t -> (artifact, string) result
 val write_artifact : path:string -> artifact -> unit
 val read_artifact : path:string -> (artifact, string) result
 

@@ -11,6 +11,7 @@
 module Rng = Ei_util.Rng
 module Key = Ei_util.Key
 module Fnv = Ei_util.Fnv
+module Mini_json = Ei_util.Mini_json
 
 type op =
   | Insert of int  (* pool index *)

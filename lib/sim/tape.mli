@@ -61,5 +61,5 @@ val generate : ?key_len:int -> seed:int -> gen -> t
 val op_to_string : op -> string
 val op_of_string : string -> (op, string) result
 
-val to_json : t -> Mini_json.t
-val of_json : Mini_json.t -> (t, string) result
+val to_json : t -> Ei_util.Mini_json.t
+val of_json : Ei_util.Mini_json.t -> (t, string) result

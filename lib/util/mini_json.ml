@@ -1,12 +1,13 @@
-(* Minimal JSON reader/writer for machine-readable artifacts
-   (simulation repros, WAL checkpoint manifests).
+(* Minimal JSON reader/writer: the repository's only JSON writer.
 
-   The repository deliberately has no JSON dependency; benches emit
-   JSON-Lines by hand.  Artifacts additionally need to be *read back*
-   (`ei sim --replay`, checkpoint recovery), so this module carries the
-   small value type and a recursive-descent parser for exactly the JSON
-   the writer emits: objects, arrays, strings with standard escapes,
-   integers, floats, booleans and null. *)
+   The repository deliberately has no JSON dependency.  Everything that
+   emits JSON — simulation repros, WAL checkpoint manifests, flight
+   dumps, timeline frames, trace exports, metrics dumps, benchmark rows
+   and analyzer reports — builds a [t] and prints it here, and
+   artifacts that must be read back ([ei sim --replay], checkpoint
+   recovery) parse with the recursive-descent reader below.  Output
+   uses [", "] and [": "] separators, and [parse (to_string v) = Ok v]
+   for every value with finite floats. *)
 
 type t =
   | Null
@@ -33,15 +34,26 @@ let escape buf s =
       | c -> Buffer.add_char buf c)
     s
 
+(* The shortest of %.15g..%.17g that reads back as [f], marked as a
+   float (a '.' or an exponent) so the reader does not take it for an
+   int.  Infinities and NaNs cannot occur in artifacts; they print as
+   0.0 rather than as invalid JSON. *)
+let float_repr f =
+  if not (Float.is_finite f) then "0.0"
+  else
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || Float.equal (float_of_string s) f then s else go (p + 1)
+    in
+    let s = go 15 in
+    if String.exists (fun c -> Char.equal c '.' || Char.equal c 'e') s then s
+    else s ^ ".0"
+
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-    (* %.17g round-trips every float; normalise infinities/nans away
-       (they cannot occur in artifacts, but never emit invalid JSON). *)
-    if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-    else Buffer.add_string buf "0"
+  | Float f -> Buffer.add_string buf (float_repr f)
   | Str s ->
     Buffer.add_char buf '"';
     escape buf s;
@@ -50,7 +62,7 @@ let rec emit buf = function
     Buffer.add_char buf '[';
     List.iteri
       (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
+        if i > 0 then Buffer.add_string buf ", ";
         emit buf x)
       xs;
     Buffer.add_char buf ']'
@@ -58,10 +70,9 @@ let rec emit buf = function
     Buffer.add_char buf '{';
     List.iteri
       (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        escape buf k;
-        Buffer.add_string buf "\":";
+        if i > 0 then Buffer.add_string buf ", ";
+        emit buf (Str k);
+        Buffer.add_string buf ": ";
         emit buf v)
       fields;
     Buffer.add_char buf '}'
@@ -70,6 +81,14 @@ let to_string v =
   let buf = Buffer.create 256 in
   emit buf v;
   Buffer.contents buf
+
+let append_line path v =
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (to_string v);
+      output_char oc '\n')
 
 (* --- Parsing --------------------------------------------------------- *)
 

@@ -1,8 +1,5 @@
-(** Minimal JSON value type, writer and parser for simulation
-    artifacts.
-
-    The repository has no JSON dependency; this covers exactly the
-    subset the [.sim.json] artifacts use — objects, arrays, strings
+(** Minimal JSON value type, writer and parser: the repository's only
+    JSON writer (it has no JSON dependency).  Objects, arrays, strings
     with standard escapes, integers, floats, booleans, null. *)
 
 type t =
@@ -15,7 +12,12 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact serialisation (valid JSON; strings escaped). *)
+(** One-line serialisation with [", "] and [": "] separators.  Floats
+    print in their shortest round-tripping form, so [parse (to_string
+    v) = Ok v] whenever every float in [v] is finite. *)
+
+val append_line : string -> t -> unit
+(** Append [v] and a newline to the file (a JSON-Lines row). *)
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries the byte position

@@ -17,7 +17,7 @@ module Index_ops = Ei_harness.Index_ops
 module Tape = Ei_sim.Tape
 module Sim = Ei_sim.Sim
 module Sched = Ei_sim.Sched
-module Mini_json = Ei_sim.Mini_json
+module Mini_json = Ei_util.Mini_json
 
 let seed = Rng.env_seed ~default:42
 

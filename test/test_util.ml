@@ -188,6 +188,52 @@ let test_latest () =
   (* The newest 10% of items should receive the majority of accesses. *)
   check Alcotest.bool "latest skews recent" true (!hits_recent > n / 2)
 
+(* --- Mini_json: the single writer round-trips through the reader ----- *)
+
+module J = Ei_util.Mini_json
+
+let json_gen =
+  QCheck.Gen.(
+    let any_string = string_size ~gen:char (int_bound 24) in
+    let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+    let leaf =
+      frequency
+        [
+          (1, return J.Null);
+          (1, map (fun b -> J.Bool b) bool);
+          (3, map (fun i -> J.Int i) int);
+          (3, map (fun f -> J.Float f) finite);
+          (1, map (fun f -> J.Float f) (oneofl [ 0.; -0.; 1.; 1e16; 5e-324; max_float ]));
+          (3, map (fun s -> J.Str s) any_string);
+        ]
+    in
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> J.List l) (list_size (int_bound 4) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun l -> J.Obj l)
+                     (list_size (int_bound 4) (pair any_string (self (n - 1)))) );
+               ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:1000
+    (QCheck.make ~print:J.to_string json_gen)
+    (fun v -> J.parse (J.to_string v) = Ok v)
+
+(* Every byte value as a one-char string, and every control char among
+   printable neighbours. *)
+let test_json_every_byte () =
+  for c = 0 to 255 do
+    let v = J.Obj [ (String.make 1 (Char.chr c), J.Str (Printf.sprintf "a%cb\"\\" (Char.chr c))) ] in
+    if J.parse (J.to_string v) <> Ok v then Alcotest.failf "byte %d does not round-trip" c
+  done
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ei_util"
@@ -215,5 +261,10 @@ let () =
           Alcotest.test_case "skew" `Quick test_zipf_skew;
           Alcotest.test_case "bounds" `Quick test_zipf_bounds;
           Alcotest.test_case "latest" `Quick test_latest;
+        ] );
+      ( "mini_json",
+        [
+          qt prop_json_roundtrip;
+          Alcotest.test_case "every byte round-trips" `Quick test_json_every_byte;
         ] );
     ]

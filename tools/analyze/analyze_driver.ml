@@ -114,35 +114,27 @@ let print_text ~show_inventory r =
        (List.sort_uniq String.compare
           (List.map (fun (d : Report.diag) -> d.Report.file) r.diags)))
 
-let inv_json (i : Analyze_rules.inv_entry) =
-  Printf.sprintf
-    "{\"file\": \"%s\", \"line\": %d, \"name\": \"%s\", \"kind\": \"%s\", \
-     \"guard\": %s}"
-    (Report.json_escape i.inv_file)
-    i.inv_line
-    (Report.json_escape i.inv_name)
-    (Report.json_escape i.inv_kind)
-    (match i.inv_guard with
-    | Some g -> Printf.sprintf "\"%s\"" (Report.json_escape g)
-    | None -> "null")
-
 let json_string r =
-  let extra =
-    [
-      ( "inventory",
-        "[" ^ String.concat ", " (List.map inv_json r.inventory) ^ "]" );
-      ("baselined", string_of_int r.suppressed);
-      ( "unused_baseline",
-        "["
-        ^ String.concat ", "
-            (List.map
-               (fun b -> Printf.sprintf "\"%s\"" (Report.json_escape b))
-               r.unused)
-        ^ "]" );
-      ("cmts_scanned", string_of_int r.cmts_scanned);
-    ]
+  let open Ei_util.Mini_json in
+  let inv (i : Analyze_rules.inv_entry) =
+    Obj
+      [
+        ("file", Str i.inv_file);
+        ("line", Int i.inv_line);
+        ("name", Str i.inv_name);
+        ("kind", Str i.inv_kind);
+        ("guard", match i.inv_guard with Some g -> Str g | None -> Null);
+      ]
   in
-  Report.to_json ~tool:"ei_race" ~extra r.diags
+  Report.to_json ~tool:"ei_race"
+    ~extra:
+      [
+        ("inventory", List (List.map inv r.inventory));
+        ("baselined", Int r.suppressed);
+        ("unused_baseline", List (List.map (fun b -> Str b) r.unused));
+        ("cmts_scanned", Int r.cmts_scanned);
+      ]
+    r.diags
 
 (* Exit status shared by both frontends: 1 iff findings remain. *)
 let exit_code r = match r.diags with [] -> 0 | _ -> 1

@@ -62,7 +62,7 @@ let () =
   if text then
     List.iter (fun d -> Format.printf "%a@." Lint_rules.pp_diag d) diags
   else begin
-    let extra = [ ("files_scanned", string_of_int (List.length files)) ] in
+    let extra = [ ("files_scanned", Ei_util.Mini_json.Int (List.length files)) ] in
     print_endline (Report.to_json ~tool:"ei_lint" ~extra diags)
   end;
   match diags with

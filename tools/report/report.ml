@@ -40,38 +40,23 @@ let of_location ~rule ~msg (loc : Location.t) ~file =
 
 (* --- JSON ------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let diag_json d =
-  Printf.sprintf
-    "{\"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \"%s\", \
-     \"message\": \"%s\"}"
-    (json_escape d.file) d.line d.col (json_escape d.rule) (json_escape d.msg)
+  Ei_util.Mini_json.(
+    Obj
+      [
+        ("file", Str d.file);
+        ("line", Int d.line);
+        ("col", Int d.col);
+        ("rule", Str d.rule);
+        ("message", Str d.msg);
+      ])
 
-(* [extra] entries are preformatted JSON values keyed by field name;
-   they land after the findings array. *)
+(* [extra] fields land after the findings array. *)
 let to_json ~tool ?(extra = []) diags =
-  let fields =
-    Printf.sprintf "\"tool\": \"%s\"" (json_escape tool)
-    :: Printf.sprintf "\"findings\": [%s]"
-         (String.concat ", " (List.map diag_json diags))
-    :: List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) v)
-         extra
-  in
-  "{" ^ String.concat ", " fields ^ "}"
+  Ei_util.Mini_json.(
+    to_string
+      (Obj
+         ((("tool", Str tool) :: ("findings", List (List.map diag_json diags)) :: extra))))
 
 type format = Text | Json
 
