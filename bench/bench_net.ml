@@ -18,10 +18,7 @@ module Client = Ei_net.Client
 module Wire = Ei_net.Wire
 module Server = Ei_net.Server
 module Serve = Ei_shard.Serve
-module Shard = Ei_shard.Shard
-module Olc = Ei_olc.Btree_olc
-module Registry = Ei_harness.Registry
-module Table = Ei_storage.Table
+module Fleet = Ei_shard.Fleet
 module Key = Ei_util.Key
 
 type mode = Closed | Open
@@ -112,27 +109,13 @@ let read_stats rfd : Client.stats =
 
 (* --- Parent side ------------------------------------------------------- *)
 
-let mk_fleet shards =
-  let table = Table.create ~key_len:8 () in
-  let load =
-    Olc.safe_loader ~key_len:8
-      ~table_length:(fun () -> Table.length table)
-      ~load:(Table.loader table)
-  in
-  let mk i =
-    Registry.make
-      ~name:(Printf.sprintf "olc/%d" i)
-      ~key_len:8 ~load (Registry.Olc Olc.Olc_std)
-  in
-  (table, Shard.create (Array.init shards mk))
-
 let numbered = List.mapi (fun i c -> (c, i)) cells
 
 let run_cell ~shards ~mode ~kids =
-  let table, router = mk_fleet shards in
-  let serve = Serve.start router in
+  let fleet = Fleet.start { Fleet.default with shards } in
+  let serve = fleet.Fleet.serve in
   let server =
-    Server.start ~serve ~table
+    Server.start ~serve ~table:fleet.Fleet.table
       (Unix.ADDR_UNIX (sock_path (List.assoc (shards, mode) numbered)))
   in
   let per_client =

@@ -10,29 +10,20 @@
 
 open Bench_util
 module Table = Ei_storage.Table
-module Registry = Ei_harness.Registry
 module Ycsb = Ei_workload.Ycsb
 module Olc = Ei_olc.Btree_olc
-module Shard = Ei_shard.Shard
 module Serve = Ei_shard.Serve
+module Fleet = Ei_shard.Fleet
 module Rng = Ei_util.Rng
 
+(* Label, part kind, and whether the coordinator runs. *)
 let kinds ~record_count =
-  let elastic_bound = record_count * 27 * 6 / 10 in
   [
-    ("olc", (fun (_ : int) -> Registry.Olc Olc.Olc_std), None);
+    ("olc", Fleet.Olc Olc.Olc_std, false);
     ( "olc-seqtree",
-      (fun _ ->
-        Registry.Olc
-          (Olc.Olc_seqtree { capacity = 128; levels = 2; breathing = 4 })),
-      None );
-    ( "olc-elastic",
-      (fun shards ->
-        Registry.Olc
-          (Olc.Olc_elastic
-             (Olc.default_elastic_config
-                ~size_bound:(max 1 (elastic_bound / shards))))),
-      Some elastic_bound );
+      Fleet.Olc (Olc.Olc_seqtree { capacity = 128; levels = 2; breathing = 4 }),
+      false );
+    ("olc-elastic", Fleet.Elastic (record_count * 27 * 6 / 10), true);
   ]
 
 type cell = {
@@ -45,19 +36,12 @@ type cell = {
          shared histogram is reset between phases and cells) *)
 }
 
-let run_cell ~kind_of_shard ~bound ~shards ~record_count ~ops =
-  let table, router =
-    Fig6_par.mk_fleet ~shards ~kind_of_shard:(fun _ -> kind_of_shard shards)
+let run_cell ~part ~coordinator ~shards ~record_count ~ops =
+  let fleet = Fleet.start { Fleet.default with shards; part; coordinator } in
+  let serve = fleet.Fleet.serve in
+  let tids =
+    Array.init record_count (fun seq -> Table.append fleet.Fleet.table (Ycsb.key_of_seq seq))
   in
-  let coordinator =
-    Option.map (fun global_bound -> Serve.default_coordinator ~global_bound)
-      bound
-  in
-  let serve = Serve.start ?coordinator router in
-  let tids = Array.make record_count 0 in
-  for seq = 0 to record_count - 1 do
-    tids.(seq) <- Table.append table (Ycsb.key_of_seq seq)
-  done;
   let load_ops =
     Array.init record_count (fun seq ->
         Serve.Insert (Ycsb.key_of_seq seq, tids.(seq)))
@@ -66,7 +50,7 @@ let run_cell ~kind_of_shard ~bound ~shards ~record_count ~ops =
   begin_phase Fig6_par.h_batch;
   let insert =
     mops record_count (fun () ->
-        shed := !shed + Fig6_par.run_batches serve load_ops)
+        shed := !shed + Fleet.exec fleet load_ops)
   in
   let insert_q = phase_quantiles Fig6_par.h_batch in
   let rng = domain_rng 0 in
@@ -76,7 +60,7 @@ let run_cell ~kind_of_shard ~bound ~shards ~record_count ~ops =
   in
   begin_phase Fig6_par.h_batch;
   let read =
-    mops ops (fun () -> shed := !shed + Fig6_par.run_batches serve read_ops)
+    mops ops (fun () -> shed := !shed + Fleet.exec fleet read_ops)
   in
   let read_q = phase_quantiles Fig6_par.h_batch in
   Serve.rebalance_now serve;
@@ -94,11 +78,11 @@ let run () =
   let shard_counts = Fig6_par.shard_counts in
   let cells =
     List.map
-      (fun (label, kind_of_shard, bound) ->
+      (fun (label, part, coordinator) ->
         ( label,
           List.map
             (fun shards ->
-              (shards, run_cell ~kind_of_shard ~bound ~shards ~record_count ~ops))
+              (shards, run_cell ~part ~coordinator ~shards ~record_count ~ops))
             shard_counts ))
       kinds
   in

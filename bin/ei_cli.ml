@@ -63,6 +63,13 @@ module Ycsb = Ei_workload.Ycsb
 module Check = Ei_check.Check
 module Iotta = Ei_workload.Iotta
 module Clock = Ei_util.Bench_clock
+module Shard = Ei_shard.Shard
+module Serve = Ei_shard.Serve
+module Fleet = Ei_shard.Fleet
+module Wal = Ei_wal.Wal
+module Metrics = Ei_obs.Metrics
+module Trace = Ei_obs.Trace
+module Timeline = Ei_obs.Timeline
 
 (* --- shared index argument ------------------------------------------ *)
 
@@ -286,31 +293,36 @@ let check_cmd =
        ~doc:"Churn an index with random mutations and run the deep invariant sanitizer.")
     term
 
+(* --- shared fleet arguments ------------------------------------------- *)
+
+let shards_arg default =
+  Arg.(value & opt int default & info [ "shards" ] ~doc:"Shard domains to spawn.")
+
+let records_arg default =
+  Arg.(value & opt int default & info [ "records" ] ~doc:"Records to load.")
+
+let fleet_ops_arg default =
+  Arg.(value & opt int default & info [ "ops" ] ~doc:"Operations to run after the load.")
+
+let bound_arg =
+  Arg.(value & opt int 60
+       & info [ "bound" ]
+           ~doc:"Global soft memory bound as a percentage of the \
+                 unconstrained BTreeOLC estimate for the load (trace, \
+                 timeline and top halve it mid-churn).")
+
+let seed_arg =
+  Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
+
+let mix_arg =
+  Arg.(value & opt string "A"
+       & info [ "w"; "workload" ] ~docv:"A..C"
+           ~doc:"YCSB point-op mix for the churn phases: A = 50/50 \
+                 read/update, B = 95/5, C = reads only.")
+
 (* --- serve -------------------------------------------------------------- *)
 
 let serve_cmd =
-  let module Olc = Ei_olc.Btree_olc in
-  let module Shard = Ei_shard.Shard in
-  let module Serve = Ei_shard.Serve in
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
-  let records_arg =
-    Arg.(value & opt int 100_000 & info [ "records" ] ~doc:"Records to load.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 200_000
-         & info [ "ops" ] ~doc:"Read and churn operations per phase.")
-  in
-  let bound_arg =
-    Arg.(value & opt int 60
-         & info [ "bound" ]
-             ~doc:"Global soft memory bound as a percentage of the \
-                   unconstrained BTreeOLC estimate for the load.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
-  in
   let wal_arg =
     Arg.(value & opt (some string) None
          & info [ "wal" ] ~docv:"DIR"
@@ -321,43 +333,13 @@ let serve_cmd =
   in
   let run shards records ops pct seed wal_dir =
     if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
-    let module Wal = Ei_wal.Wal in
     let global_bound = records * 27 * pct / 100 in
-    let table = Table.create ~key_len:8 () in
-    let load =
-      Olc.safe_loader ~key_len:8
-        ~table_length:(fun () -> Table.length table)
-        ~load:(Table.loader table)
-    in
-    let mk_part i =
-      Registry.make
-        ~name:(Printf.sprintf "olc-elastic/%d" i)
-        ~key_len:8 ~load
-        (Registry.Olc
-           (Olc.Olc_elastic
-              (Olc.default_elastic_config
-                 ~size_bound:(max 1 (global_bound / shards)))))
-    in
-    let parts = Array.init shards mk_part in
-    let router = Shard.create parts in
     let wal = Option.map (fun dir -> Wal.default_config ~dir) wal_dir in
-    let supervisor =
-      (* Durable shards need a supervisor: a WAL crash kills the domain
-         and the rebuild path is recover-from-disk. *)
-      Option.map
-        (fun _ -> Serve.default_supervisor ~table ~rebuild:mk_part)
-        wal
+    let fleet =
+      Fleet.start
+        { Fleet.default with shards; part = Elastic global_bound; coordinator = true; wal }
     in
-    let serve =
-      Serve.start
-        ~coordinator:(Serve.default_coordinator ~global_bound)
-        ?supervisor ?wal
-        ?wal_restore:
-          (Option.map
-             (fun _ ~tid ~key -> Table.restore_row table ~tid ~key)
-             wal)
-        router
-    in
+    let serve = fleet.Fleet.serve in
     (match Serve.wal_recoveries serve with
     | [] -> ()
     | boot ->
@@ -384,22 +366,11 @@ let serve_cmd =
     prev_int := Sys.signal Sys.sigint (Sys.Signal_handle request_stop);
     let shed = ref 0 in
     let batched a =
-      let n = Array.length a in
-      let i = ref 0 in
-      while !i < n && not (Atomic.get stop_req) do
-        let len = min 512 (n - !i) in
-        Array.iter
-          (function
-            | Serve.Applied _ -> ()
-            | Serve.Rejected | Serve.Timed_out -> incr shed)
-          (Serve.exec serve (Array.sub a !i len));
-        i := !i + len
-      done
+      shed := !shed + Fleet.exec ~stop:(fun () -> Atomic.get stop_req) fleet a
     in
-    let tids = Array.make records 0 in
-    for s = 0 to records - 1 do
-      tids.(s) <- Table.append table (Ycsb.key_of_seq s)
-    done;
+    let tids =
+      Array.init records (fun s -> Table.append fleet.Fleet.table (Ycsb.key_of_seq s))
+    in
     let (), load_dt =
       Clock.time (fun () ->
           batched
@@ -437,7 +408,7 @@ let serve_cmd =
     Array.iteri
       (fun i b ->
         Printf.printf "shard %d: %7.2f MiB  %s\n" i (Clock.mib b)
-          ((Shard.parts router).(i).Index_ops.info ()))
+          ((Shard.parts fleet.Fleet.router).(i).Index_ops.info ()))
       sizes;
     Printf.printf
       "aggregate %.2f MiB / bound %.2f MiB (%.2fx), %d coordinator pass(es)\n"
@@ -458,8 +429,8 @@ let serve_cmd =
     end
   in
   let term =
-    Term.(const run $ shards_arg $ records_arg $ ops_arg $ bound_arg $ seed_arg
-          $ wal_arg)
+    Term.(const run $ shards_arg 4 $ records_arg 100_000 $ fleet_ops_arg 200_000
+          $ bound_arg $ seed_arg $ wal_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -492,16 +463,7 @@ let net_host_arg =
        & info [ "host" ] ~doc:"Host address for --port.")
 
 let serve_net_cmd =
-  let module Olc = Ei_olc.Btree_olc in
-  let module Shard = Ei_shard.Shard in
-  let module Serve = Ei_shard.Serve in
   let module Server = Ei_net.Server in
-  let module Metrics = Ei_obs.Metrics in
-  let module Trace = Ei_obs.Trace in
-  let module Wal = Ei_wal.Wal in
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
   let records_arg =
     Arg.(value & opt int 0
          & info [ "records" ]
@@ -536,43 +498,14 @@ let serve_net_cmd =
     if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
     Metrics.set_enabled true;
     if trace_out <> None then Trace.set_enabled true;
-    let table = Table.create ~key_len:8 () in
-    let load =
-      Olc.safe_loader ~key_len:8
-        ~table_length:(fun () -> Table.length table)
-        ~load:(Table.loader table)
-    in
-    let mk_part i =
-      Registry.make
-        ~name:(Printf.sprintf "olc/%d" i)
-        ~key_len:8 ~load (Registry.Olc Olc.Olc_std)
-    in
-    let router = Shard.create (Array.init shards mk_part) in
     let wal = Option.map (fun dir -> Wal.default_config ~dir) wal_dir in
-    let supervisor =
-      Option.map (fun _ -> Serve.default_supervisor ~table ~rebuild:mk_part) wal
-    in
-    let serve =
-      Serve.start ?supervisor ?wal
-        ?wal_restore:
-          (Option.map
-             (fun _ ~tid ~key -> Table.restore_row table ~tid ~key)
-             wal)
-        router
-    in
-    if records > 0 then begin
-      let ops =
-        Array.init records (fun s ->
-            let k = Ycsb.key_of_seq s in
-            Ei_shard.Serve.Insert (k, Table.append table k))
-      in
-      let i = ref 0 in
-      while !i < records do
-        let len = min 512 (records - !i) in
-        ignore (Serve.exec serve (Array.sub ops !i len));
-        i := !i + len
-      done
-    end;
+    let fleet = Fleet.start { Fleet.default with shards; wal } in
+    let table = fleet.Fleet.table and serve = fleet.Fleet.serve in
+    ignore
+      (Fleet.exec fleet
+         (Array.init records (fun s ->
+              let k = Ycsb.key_of_seq s in
+              Serve.Insert (k, Table.append table k))));
     let config =
       {
         Server.default_config with
@@ -620,7 +553,7 @@ let serve_net_cmd =
       requests shed proto
   in
   let term =
-    Term.(const run $ shards_arg $ records_arg $ net_socket_arg $ net_port_arg
+    Term.(const run $ shards_arg 4 $ records_arg $ net_socket_arg $ net_port_arg
           $ net_host_arg $ window_arg $ timeout_arg $ wal_arg $ trace_arg)
   in
   Cmd.v
@@ -881,7 +814,6 @@ let chaos_cmd =
    to restart.  Everything rides on {!Ei_wal.Wal}'s total decoders —
    corrupt bytes are reported, never raised through. *)
 let wal_cmd =
-  let module Wal = Ei_wal.Wal in
   let dir_arg =
     Arg.(required & opt (some string) None
          & info [ "dir" ] ~docv:"DIR"
@@ -1044,7 +976,6 @@ let wal_cmd =
    stdout (run commentary to stderr), so the output pipes straight into
    a scrape file or [jq]. *)
 let stats_cmd =
-  let module Metrics = Ei_obs.Metrics in
   let workload_arg =
     Arg.(value & opt string "A" & info [ "w"; "workload" ] ~docv:"A..F" ~doc:"YCSB workload.")
   in
@@ -1108,207 +1039,32 @@ let stats_cmd =
              print the exposition (Prometheus text, or JSON with --json).")
     term
 
-(* --- trace (Chrome trace_events capture) -------------------------------- *)
+(* --- trace / timeline / top ---------------------------------------------- *)
 
-(* A tracing run over the sharded serving layer: load, churn, slash the
-   global soft bound mid-churn via a one-shot coordinator pass, keep
-   churning, then export the merged trace rings.  The periodic
-   coordinator is deliberately NOT started — it would restore the
-   original bound split on its next pass and blur the slash the trace is
-   meant to show; [Serve.rebalance_with] delivers each split exactly
-   once. *)
-let obs_trace_cmd =
-  let module Olc = Ei_olc.Btree_olc in
-  let module Shard = Ei_shard.Shard in
-  let module Serve = Ei_shard.Serve in
-  let module Metrics = Ei_obs.Metrics in
-  let module Trace = Ei_obs.Trace in
-  let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
-  let records_arg =
-    Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Churn operations.")
-  in
-  let bound_arg =
-    Arg.(value & opt int 60
-         & info [ "bound" ]
-             ~doc:"Global soft memory bound as a percentage of the \
-                   unconstrained BTreeOLC estimate for the load; halved \
-                   mid-churn.")
-  in
-  let workload_arg =
-    Arg.(value & opt string "A"
-         & info [ "w"; "workload" ] ~docv:"A..C"
-             ~doc:"YCSB point-op mix for the churn phases: A = 50/50 \
-                   read/update, B = 95/5, C = reads only.")
-  in
-  let out_arg =
-    Arg.(value & opt string "ei.trace.json"
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Output file (Chrome trace_events JSON; open in \
-                   chrome://tracing or ui.perfetto.dev).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
-  in
-  let run shards records ops pct workload out seed =
-    if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
-    let update_pct =
-      match String.uppercase_ascii workload with
-      | "A" -> 50
-      | "B" -> 5
-      | "C" -> 0
-      | w -> Printf.ksprintf failwith "unknown workload %s (want A, B or C)" w
-    in
-    Metrics.set_enabled true;
-    Trace.set_enabled true;
-    let global_bound = records * 27 * pct / 100 in
-    let table = Table.create ~key_len:8 () in
-    let load =
-      Olc.safe_loader ~key_len:8
-        ~table_length:(fun () -> Table.length table)
-        ~load:(Table.loader table)
-    in
-    let parts =
-      Array.init shards (fun i ->
-          Registry.make
-            ~name:(Printf.sprintf "olc-elastic/%d" i)
-            ~key_len:8 ~load
-            (Registry.Olc
-               (Olc.Olc_elastic
-                  (Olc.default_elastic_config
-                     ~size_bound:(max 1 (global_bound / shards))))))
-    in
-    let router = Shard.create parts in
-    let serve = Serve.start router in
-    let shed = ref 0 in
-    let batched a =
-      let n = Array.length a in
-      let i = ref 0 in
-      while !i < n do
-        let len = min 512 (n - !i) in
-        Array.iter
-          (function
-            | Serve.Applied _ -> ()
-            | Serve.Rejected | Serve.Timed_out -> incr shed)
-          (Serve.exec serve (Array.sub a !i len));
-        i := !i + len
-      done
-    in
-    let tids = Array.make records 0 in
-    for s = 0 to records - 1 do
-      tids.(s) <- Table.append table (Ycsb.key_of_seq s)
-    done;
-    batched
-      (Array.init records (fun s ->
-           Serve.Insert (Ycsb.key_of_seq s, tids.(s))));
-    (* One explicit coordinator pass delivers the configured split. *)
-    Serve.rebalance_with serve (Serve.default_coordinator ~global_bound);
-    let rng = Ei_util.Rng.stream seed 0 in
-    let churn n =
-      batched
-        (Array.init n (fun _ ->
-             let s = Ei_util.Rng.int rng records in
-             if Ei_util.Rng.int rng 100 < update_pct then
-               Serve.Update (Ycsb.key_of_seq s, tids.(s))
-             else Serve.Find (Ycsb.key_of_seq s)))
-    in
-    churn (ops / 2);
-    (* Mid-flight slash: re-split half the budget, forcing the fleet
-       into the shrinking state while the second churn phase runs. *)
-    Serve.rebalance_with serve
-      (Serve.default_coordinator ~global_bound:(max 1 (global_bound / 2)));
-    churn (ops - (ops / 2));
-    Serve.stop serve;
-    let events = Trace.events () in
-    Trace.write_json out;
-    Printf.printf
-      "wrote %s: %d events (%d elastic transitions, %d batches); bound \
-       %.1f MiB slashed to %.1f MiB mid-churn\n"
-      out events
-      (Metrics.counter_value (Metrics.counter "olc.transitions"))
-      (Serve.batches serve)
-      (Clock.mib global_bound)
-      (Clock.mib (global_bound / 2));
-    if !shed > 0 then
-      Printf.printf "%d operation(s) shed (rejected or timed out)\n" !shed;
-    if events = 0 then begin
-      prerr_endline "empty trace: no events were recorded";
-      exit 1
-    end
-  in
-  let term =
-    Term.(const run $ shards_arg $ records_arg $ ops_arg $ bound_arg
-          $ workload_arg $ out_arg $ seed_arg)
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run a sharded YCSB workload with tracing on, slash the \
-             global bound mid-churn, and dump Chrome trace_events JSON.")
-    term
-
-(* --- timeline / top ------------------------------------------------------ *)
-
-(* Shared fleet driver for the timeline-centric commands: the same
-   sharded YCSB load / churn / mid-flight bound slash / churn shape as
-   [ei trace], with a [phase] callback at every boundary so the caller
-   can cut timeline frames (ei timeline) or refresh a live view (ei
-   top), and an optional WAL so the captured flows include the
-   durability leg.  Each [phase l] call closes the window named [l]. *)
+(* Shared fleet driver for the observability commands: a sharded YCSB
+   load, one explicit coordinator pass delivering the configured split,
+   churn, a mid-flight slash of the global bound to half (forcing the
+   fleet into the shrinking state), more churn, then a drain.  The
+   periodic coordinator is deliberately NOT started — it would restore
+   the original split on its next pass and blur the slash;
+   [Serve.rebalance_with] delivers each split exactly once.  [phase l]
+   runs at every boundary, closing the window named [l], so callers can
+   cut timeline frames (ei timeline) or refresh a live view (ei top);
+   an optional WAL puts the durability leg into the captured flows.
+   Returns the shed count and the stopped fleet. *)
 let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir ~phase
     () =
-  let module Olc = Ei_olc.Btree_olc in
-  let module Shard = Ei_shard.Shard in
-  let module Serve = Ei_shard.Serve in
-  let module Wal = Ei_wal.Wal in
   let global_bound = records * 27 * pct / 100 in
-  let table = Table.create ~key_len:8 () in
-  let load =
-    Olc.safe_loader ~key_len:8
-      ~table_length:(fun () -> Table.length table)
-      ~load:(Table.loader table)
-  in
-  let parts =
-    Array.init shards (fun i ->
-        Registry.make
-          ~name:(Printf.sprintf "olc-elastic/%d" i)
-          ~key_len:8 ~load
-          (Registry.Olc
-             (Olc.Olc_elastic
-                (Olc.default_elastic_config
-                   ~size_bound:(max 1 (global_bound / shards))))))
-  in
-  let router = Shard.create parts in
   let wal = Option.map (fun dir -> Wal.default_config ~dir) wal_dir in
-  let serve =
-    Serve.start ?wal
-      ?wal_restore:
-        (Option.map
-           (fun _ ~tid ~key -> Table.restore_row table ~tid ~key)
-           wal)
-      router
+  let fleet =
+    Fleet.start { Fleet.default with shards; part = Elastic global_bound; wal }
   in
+  let serve = fleet.Fleet.serve in
   let shed = ref 0 in
-  let batched a =
-    let n = Array.length a in
-    let i = ref 0 in
-    while !i < n do
-      let len = min 512 (n - !i) in
-      Array.iter
-        (function
-          | Serve.Applied _ -> ()
-          | Serve.Rejected | Serve.Timed_out -> incr shed)
-        (Serve.exec serve (Array.sub a !i len));
-      i := !i + len
-    done
+  let batched a = shed := !shed + Fleet.exec fleet a in
+  let tids =
+    Array.init records (fun s -> Table.append fleet.Fleet.table (Ycsb.key_of_seq s))
   in
-  let tids = Array.make records 0 in
-  for s = 0 to records - 1 do
-    tids.(s) <- Table.append table (Ycsb.key_of_seq s)
-  done;
   batched
     (Array.init records (fun s -> Serve.Insert (Ycsb.key_of_seq s, tids.(s))));
   Serve.rebalance_with serve (Serve.default_coordinator ~global_bound);
@@ -1328,9 +1084,9 @@ let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir ~phase
     (Serve.default_coordinator ~global_bound:(max 1 (global_bound / 2)));
   churn (ops - (ops / 2));
   phase "churn-slashed";
-  Serve.stop serve;
+  Fleet.stop fleet;
   phase "drain";
-  !shed
+  (!shed, fleet)
 
 let update_pct_of_workload w =
   match String.uppercase_ascii w with
@@ -1339,31 +1095,51 @@ let update_pct_of_workload w =
   | "C" -> 0
   | w -> Printf.ksprintf failwith "unknown workload %s (want A, B or C)" w
 
+(* Chrome trace_events capture of the shared fleet run. *)
+let obs_trace_cmd =
+  let out_arg =
+    Arg.(value & opt string "ei.trace.json"
+         & info [ "o"; "out" ] ~docv:"FILE"
+             ~doc:"Output file (Chrome trace_events JSON; open in \
+                   chrome://tracing or ui.perfetto.dev).")
+  in
+  let run shards records ops pct workload out seed =
+    if shards < 1 then begin prerr_endline "need at least one shard"; exit 2 end;
+    let update_pct = update_pct_of_workload workload in
+    Metrics.set_enabled true;
+    Trace.set_enabled true;
+    let shed, fleet =
+      run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ~phase:ignore ()
+    in
+    let global_bound = records * 27 * pct / 100 in
+    let events = Trace.events () in
+    Trace.write_json out;
+    Printf.printf
+      "wrote %s: %d events (%d elastic transitions, %d batches); bound \
+       %.1f MiB slashed to %.1f MiB mid-churn\n"
+      out events
+      (Metrics.counter_value (Metrics.counter "olc.transitions"))
+      (Serve.batches fleet.Fleet.serve)
+      (Clock.mib global_bound)
+      (Clock.mib (global_bound / 2));
+    if shed > 0 then
+      Printf.printf "%d operation(s) shed (rejected or timed out)\n" shed;
+    if events = 0 then begin
+      prerr_endline "empty trace: no events were recorded";
+      exit 1
+    end
+  in
+  let term =
+    Term.(const run $ shards_arg 2 $ records_arg 50_000 $ fleet_ops_arg 100_000
+          $ bound_arg $ mix_arg $ out_arg $ seed_arg)
+  in
+  Cmd.v
+    (Cmd.info "trace"
+       ~doc:"Run a sharded YCSB workload with tracing on, slash the \
+             global bound mid-churn, and dump Chrome trace_events JSON.")
+    term
+
 let obs_timeline_cmd =
-  let module Metrics = Ei_obs.Metrics in
-  let module Trace = Ei_obs.Trace in
-  let module Timeline = Ei_obs.Timeline in
-  let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
-  let records_arg =
-    Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Churn operations.")
-  in
-  let bound_arg =
-    Arg.(value & opt int 60
-         & info [ "bound" ]
-             ~doc:"Global soft memory bound as a percentage of the \
-                   unconstrained BTreeOLC estimate for the load; halved \
-                   mid-churn.")
-  in
-  let workload_arg =
-    Arg.(value & opt string "A"
-         & info [ "w"; "workload" ] ~docv:"A..C"
-             ~doc:"YCSB point-op mix for the churn phases.")
-  in
   let interval_arg =
     Arg.(value & opt float 0.05
          & info [ "interval" ] ~docv:"SECONDS"
@@ -1374,9 +1150,6 @@ let obs_timeline_cmd =
     Arg.(value & opt string "-"
          & info [ "o"; "out" ] ~docv:"FILE"
              ~doc:"Output file for the JSON-Lines frames (- = stdout).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
   in
   let wal_arg =
     Arg.(value & opt (some string) None
@@ -1395,7 +1168,7 @@ let obs_timeline_cmd =
     Timeline.capture ~label:"start" ();
     if Float.compare interval 0.0 > 0 then
       Timeline.start_ticker ~interval_s:interval;
-    let shed =
+    let shed, _ =
       run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir
         ~phase:(fun l -> Timeline.capture ~label:l ())
         ()
@@ -1416,8 +1189,8 @@ let obs_timeline_cmd =
     end
   in
   let term =
-    Term.(const run $ shards_arg $ records_arg $ ops_arg $ bound_arg
-          $ workload_arg $ interval_arg $ out_arg $ seed_arg $ wal_arg)
+    Term.(const run $ shards_arg 2 $ records_arg 50_000 $ fleet_ops_arg 100_000
+          $ bound_arg $ mix_arg $ interval_arg $ out_arg $ seed_arg $ wal_arg)
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -1432,28 +1205,6 @@ let obs_timeline_cmd =
    refreshed in place while the workload domain runs.  --once renders a
    single frame without terminal control sequences (the CI smoke). *)
 let obs_top_cmd =
-  let module Metrics = Ei_obs.Metrics in
-  let module Timeline = Ei_obs.Timeline in
-  let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Shard domains to spawn.")
-  in
-  let records_arg =
-    Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"Records to load.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 200_000 & info [ "ops" ] ~doc:"Churn operations.")
-  in
-  let bound_arg =
-    Arg.(value & opt int 60
-         & info [ "bound" ]
-             ~doc:"Global soft memory bound as a percentage of the \
-                   unconstrained BTreeOLC estimate; halved mid-churn.")
-  in
-  let workload_arg =
-    Arg.(value & opt string "A"
-         & info [ "w"; "workload" ] ~docv:"A..C"
-             ~doc:"YCSB point-op mix for the churn phases.")
-  in
   let interval_arg =
     Arg.(value & opt float 0.5
          & info [ "interval" ] ~docv:"SECONDS" ~doc:"Refresh interval.")
@@ -1463,9 +1214,6 @@ let obs_top_cmd =
          & info [ "once" ]
              ~doc:"Run the workload to completion, render the final \
                    frame once and exit (no terminal control; for CI).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed for the workload.")
   in
   let render ~shards ~clear fr =
     let b = Buffer.create 512 in
@@ -1511,7 +1259,7 @@ let obs_top_cmd =
     Timeline.set_enabled true;
     Timeline.capture ~label:"start" ();
     if once then begin
-      let shed =
+      let shed, _ =
         run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed
           ~phase:(fun l -> Timeline.capture ~label:l ())
           ()
@@ -1530,10 +1278,9 @@ let obs_top_cmd =
       let done_flag = Atomic.make false in
       let worker =
         Domain.spawn (fun () ->
-            let shed =
+            let shed, _ =
               run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed
-                ~phase:(fun _ -> ())
-                ()
+                ~phase:ignore ()
             in
             Atomic.set done_flag true;
             shed)
@@ -1554,8 +1301,8 @@ let obs_top_cmd =
     end
   in
   let term =
-    Term.(const run $ shards_arg $ records_arg $ ops_arg $ bound_arg
-          $ workload_arg $ interval_arg $ once_arg $ seed_arg)
+    Term.(const run $ shards_arg 2 $ records_arg 50_000 $ fleet_ops_arg 200_000
+          $ bound_arg $ mix_arg $ interval_arg $ once_arg $ seed_arg)
   in
   Cmd.v
     (Cmd.info "top"

@@ -50,6 +50,7 @@ module Index_ops = Ei_harness.Index_ops
 module Registry = Ei_harness.Registry
 module Serve = Ei_shard.Serve
 module Shard = Ei_shard.Shard
+module Fleet = Ei_shard.Fleet
 module Check = Ei_check.Check
 module Rng = Ei_util.Rng
 module Strtbl = Ei_util.Strtbl
@@ -274,14 +275,7 @@ let run cfg =
       (fun s -> match cfg.progress with Some f -> f s | None -> ())
       fmt
   in
-  (* Under-sized on purpose: appends grow the table mid-run while shard
-     domains mark liveness (see above). *)
-  let table =
-    Table.create
-      ~initial_capacity:(max 64 (nkeys / 4))
-      ~key_len:cfg.key_len ()
-  in
-  let mk_part i =
+  let mk_part ~load i =
     let ecfg =
       Ei_core.Elasticity.default_config ~size_bound:(max 1 (global_bound / cfg.shards))
     in
@@ -294,11 +288,10 @@ let run cfg =
     let ix =
       Registry.make
         ~name:(Printf.sprintf "chaos-shard%d" i)
-        ~key_len:cfg.key_len ~load:(Table.loader table) (Registry.Elastic ecfg)
+        ~key_len:cfg.key_len ~load (Registry.Elastic ecfg)
     in
     Index_ops.inject ~site:(Fault.site (Printf.sprintf "serve.op.shard%d" i)) ix
   in
-  let router = Shard.create (Array.init cfg.shards mk_part) in
   (* Durable mode: reset the WAL root (a soak owns its directory), open
      the acknowledgement journal beside the shard logs, and hand every
      shard a writer.  The start-time recovery below is a no-op on the
@@ -311,14 +304,24 @@ let run cfg =
       cfg.wal_dir
   in
   let journal = Option.map jopen cfg.wal_dir in
-  let serve =
-    Serve.start
-      ~supervisor:(Serve.default_supervisor ~table ~rebuild:mk_part)
-      ~fault_prefix:"serve" ~timeout_s:cfg.timeout_s ?wal
-      ?wal_restore:
-        (Option.map (fun _ ~tid ~key -> Table.restore_row table ~tid ~key) wal)
-      router
+  let fleet =
+    Fleet.start
+      {
+        Fleet.default with
+        shards = cfg.shards;
+        key_len = cfg.key_len;
+        (* Under-sized on purpose: appends grow the table mid-run while
+           shard domains mark liveness (see above). *)
+        table_capacity = max 64 (nkeys / 4);
+        part = Custom mk_part;
+        supervisor = true;
+        wal;
+        fault_prefix = Some "serve";
+        timeout_s = Some cfg.timeout_s;
+      }
   in
+  let table = fleet.Fleet.table and router = fleet.Fleet.router in
+  let serve = fleet.Fleet.serve in
   let coord = Serve.default_coordinator ~global_bound in
   let rng = Rng.stream cfg.seed 0x1 in
   let pool = Array.init nkeys (fun _ -> Key.random rng cfg.key_len) in
@@ -493,7 +496,7 @@ let run cfg =
     let live = Shard.parts router in
     let rec_parts =
       Array.init cfg.shards (fun i ->
-          let part = mk_part i in
+          let part = fleet.Fleet.part i in
           let w, r =
             Wal.recover wcfg ~shard:i ~part
               ~restore:(fun ~tid ~key -> Table.restore_row table ~tid ~key)
@@ -665,7 +668,7 @@ let verify ?(shards = 4) ?(key_len = 8) ~dir () =
          (Ei_core.Elasticity.default_config ~size_bound:max_int))
   in
   let parts = Array.init shards mk_part in
-  let router = Shard.create parts in
+  let map = Ei_shard.Shard_map.create ~key_len ~shards in
   let ckpt_entries = ref 0
   and replayed = ref 0
   and fallbacks = ref 0
@@ -693,7 +696,7 @@ let verify ?(shards = 4) ?(key_len = 8) ~dir () =
   and phantoms = ref 0 in
   Strtbl.iter
     (fun k e ->
-      let part = parts.(Shard.shard_of_key router k) in
+      let part = parts.(Ei_shard.Shard_map.shard_of_key map k) in
       match e with
       | Unsettled -> incr unsettled
       | Present tid -> (

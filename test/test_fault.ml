@@ -20,10 +20,9 @@ module Fault = Ei_fault.Fault
 module Mpsc = Ei_shard.Mpsc_queue
 module Serve = Ei_shard.Serve
 module Shard = Ei_shard.Shard
+module Fleet = Ei_shard.Fleet
 module Chaos = Ei_chaos.Chaos
 module Table = Ei_storage.Table
-module Registry = Ei_harness.Registry
-module Olc = Ei_olc.Btree_olc
 module Key = Ei_util.Key
 
 (* --- a. fault sites -------------------------------------------------- *)
@@ -152,11 +151,6 @@ let test_split_bounds () =
 
 (* --- d. supervisor crash recovery ------------------------------------ *)
 
-let safe_loader table =
-  Olc.safe_loader ~key_len:8
-    ~table_length:(fun () -> Table.length table)
-    ~load:(Table.loader table)
-
 let rec wait_healthy serve =
   if not (Serve.healthy serve) then begin
     Unix.sleepf 0.001;
@@ -166,19 +160,19 @@ let rec wait_healthy serve =
 let test_supervisor_recovery () =
   let shards = 2 in
   let n = 600 in
-  let table = Table.create ~initial_capacity:(4 * n) ~key_len:8 () in
-  let mk i =
-    Registry.make
-      ~name:(Printf.sprintf "olc/%d" i)
-      ~key_len:8 ~load:(safe_loader table) (Registry.Olc Olc.Olc_std)
-  in
-  let router = Shard.create (Array.init shards mk) in
   Fault.configure ~seed:11 [ ("serve.crash", 0.01) ];
-  let serve =
-    Serve.start
-      ~supervisor:(Serve.default_supervisor ~table ~rebuild:mk)
-      ~fault_prefix:"serve" ~timeout_s:0.2 router
+  let fleet =
+    Fleet.start
+      {
+        Fleet.default with
+        shards;
+        table_capacity = 4 * n;
+        supervisor = true;
+        fault_prefix = Some "serve";
+        timeout_s = Some 0.2;
+      }
   in
+  let table = fleet.Fleet.table and serve = fleet.Fleet.serve in
   let keys = Array.init n (fun i -> Key.of_int (i * 7919)) in
   let tids = Array.map (Table.append table) keys in
   (* Insert every key until acknowledged.  Applied 0 (duplicate) counts:
@@ -217,7 +211,7 @@ let test_supervisor_recovery () =
     (recoveries >= 1);
   Alcotest.(check int) "recovery log matches the counter" recoveries
     (List.length log);
-  Alcotest.(check int) "count reconciles" n (Shard.count router)
+  Alcotest.(check int) "count reconciles" n (Shard.count fleet.Fleet.router)
 
 (* --- e. chaos determinism -------------------------------------------- *)
 

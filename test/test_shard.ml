@@ -16,11 +16,10 @@
 module Key = Ei_util.Key
 module Rng = Ei_util.Rng
 module Table = Ei_storage.Table
-module Registry = Ei_harness.Registry
-module Index_ops = Ei_harness.Index_ops
 module Olc = Ei_olc.Btree_olc
 module Shard = Ei_shard.Shard
 module Serve = Ei_shard.Serve
+module Fleet = Ei_shard.Fleet
 module Ycsb = Ei_workload.Ycsb
 module Check = Ei_check.Check
 
@@ -99,29 +98,15 @@ let test_olc_churn () =
 
 (* --- b. sharded fleet behind Serve with the coordinator -------------- *)
 
-let mk_fleet ~shards ~global_bound =
-  let table = Table.create ~key_len:8 () in
-  let load = safe_loader table in
-  let parts =
-    Array.init shards (fun i ->
-        Registry.make
-          ~name:(Printf.sprintf "olc-elastic/%d" i)
-          ~key_len:8 ~load
-          (Registry.Olc
-             (Olc.Olc_elastic
-                (Olc.default_elastic_config
-                   ~size_bound:(max 1 (global_bound / shards))))))
-  in
-  (table, Shard.create parts)
-
 let test_serve_churn () =
   let shards = 4 in
   let n = 16_000 in
   let bound = n * 20 in
-  let table, router = mk_fleet ~shards ~global_bound:bound in
   (* No periodic coordinator domain: rebalances are driven explicitly
      below, so the pass count is exact instead of timing-dependent. *)
-  let serve = Serve.start router in
+  let fleet = Fleet.start { Fleet.default with shards; part = Elastic bound } in
+  let table = fleet.Fleet.table and router = fleet.Fleet.router in
+  let serve = fleet.Fleet.serve in
   let keys = Array.init n (fun i -> Ycsb.key_of_seq i) in
   let tids = Array.map (Table.append table) keys in
   let producers = 2 in

@@ -26,8 +26,8 @@ module Wal = Ei_wal.Wal
 module Fault = Ei_fault.Fault
 module Serve = Ei_shard.Serve
 module Shard = Ei_shard.Shard
+module Fleet = Ei_shard.Fleet
 module Chaos = Ei_chaos.Chaos
-module Olc = Ei_olc.Btree_olc
 module Sim = Ei_sim.Sim
 module Sched = Ei_sim.Sched
 
@@ -329,25 +329,23 @@ let test_crash_unsynced () =
 
 let test_serve_restart () =
   let dir = fresh_dir "serve" in
-  let wal = Wal.default_config ~dir in
   let shards = 2 in
   let n = 500 in
-  let mk_fleet () =
-    let table = Table.create ~key_len:8 () in
-    let parts =
-      Array.init shards (fun i ->
-          mk_part table (Printf.sprintf "serve-wal/%d" i))
-    in
-    (table, Shard.create parts)
+  (* A durable fleet; a second one over the same directory is a fresh
+     process image: new Table, new empty parts. *)
+  let start () =
+    Fleet.start
+      {
+        Fleet.default with
+        shards;
+        part = Elastic (shards * (1 lsl 20));
+        wal = Some (Wal.default_config ~dir);
+      }
   in
-  let table, router = mk_fleet () in
+  let fleet = start () in
   let keys = Array.init n (fun i -> Key.of_int (i * 31337)) in
-  let tids = Array.map (Table.append table) keys in
-  let serve =
-    Serve.start ~wal
-      ~wal_restore:(fun ~tid ~key -> Table.restore_row table ~tid ~key)
-      router
-  in
+  let tids = Array.map (Table.append fleet.Fleet.table) keys in
+  let serve = fleet.Fleet.serve in
   ignore
     (Serve.exec serve
        (Array.init n (fun i -> Serve.Insert (keys.(i), tids.(i)))));
@@ -355,19 +353,14 @@ let test_serve_restart () =
     (Serve.exec serve
        (Array.init (n / 5) (fun i -> Serve.Remove keys.(i * 5))));
   Serve.stop serve;
-  let live = Shard.count router in
-  (* a fresh process image: new Table, new empty parts, same directory *)
-  let table2, router2 = mk_fleet () in
-  let serve2 =
-    Serve.start ~wal
-      ~wal_restore:(fun ~tid ~key -> Table.restore_row table2 ~tid ~key)
-      router2
-  in
+  let live = Shard.count fleet.Fleet.router in
+  let fleet2 = start () in
+  let serve2 = fleet2.Fleet.serve in
   List.iter
     (fun (_, r) ->
       Alcotest.(check bool) "clean shutdown marker seen" true r.Wal.r_clean)
     (Serve.wal_recoveries serve2);
-  Alcotest.(check int) "count survives restart" live (Shard.count router2);
+  Alcotest.(check int) "count survives restart" live (Shard.count fleet2.Fleet.router);
   let outs =
     Serve.exec serve2 (Array.init n (fun i -> Serve.Find keys.(i)))
   in
@@ -391,17 +384,20 @@ let test_serve_crash_rebuild_from_disk () =
   let wal = { (Wal.default_config ~dir) with Wal.checkpoint_every = 16 } in
   let shards = 2 in
   let n = 400 in
-  let table = Table.create ~initial_capacity:(4 * n) ~key_len:8 () in
-  let mk i = mk_part table (Printf.sprintf "crash-wal/%d" i) in
-  let router = Shard.create (Array.init shards mk) in
   Fault.configure ~seed:11 [ ("serve.crash", 0.01) ];
-  let serve =
-    Serve.start
-      ~supervisor:(Serve.default_supervisor ~table ~rebuild:mk)
-      ~fault_prefix:"serve" ~timeout_s:0.2 ~wal
-      ~wal_restore:(fun ~tid ~key -> Table.restore_row table ~tid ~key)
-      router
+  let fleet =
+    Fleet.start
+      {
+        Fleet.default with
+        shards;
+        table_capacity = 4 * n;
+        part = Elastic (shards * (1 lsl 20));
+        wal = Some wal;
+        fault_prefix = Some "serve";
+        timeout_s = Some 0.2;
+      }
   in
+  let table = fleet.Fleet.table and serve = fleet.Fleet.serve in
   let keys = Array.init n (fun i -> Key.of_int (i * 7919)) in
   let tids = Array.map (Table.append table) keys in
   for i = 0 to n - 1 do
@@ -427,7 +423,7 @@ let test_serve_crash_rebuild_from_disk () =
   Alcotest.(check int) "zero lost acknowledged writes" 0 !lost;
   Alcotest.(check bool) "crashes happened and rebuilt from disk" true
     (recoveries >= 1);
-  Alcotest.(check int) "count reconciles" n (Shard.count router)
+  Alcotest.(check int) "count reconciles" n (Shard.count fleet.Fleet.router)
 
 (* --- d. mini durable chaos soak --------------------------------------- *)
 
