@@ -87,13 +87,8 @@ let guard ctx validator f =
 
 (* Short printable preview of a (binary) key for diagnostics. *)
 let key_preview k =
-  let n = min 8 (String.length k) in
-  let b = Buffer.create (2 * n) in
-  for i = 0 to n - 1 do
-    Buffer.add_string b (Printf.sprintf "%02x" (Char.code k.[i]))
-  done;
-  if String.length k > n then Buffer.add_string b "..";
-  Buffer.contents b
+  if String.length k <= 8 then Key.to_hex k
+  else Key.to_hex (String.sub k 0 8) ^ ".."
 
 (* ------------------------------------------------------------------ *)
 (* SeqTree: BlindiBits / BlindiTree / breathing (§5).                  *)

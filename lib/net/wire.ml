@@ -55,7 +55,7 @@ type 'a progress =
 let op_key = function
   | Insert k | Remove k | Update k | Find k | Scan (k, _) -> k
 
-let hex = Envelope.hex
+let hex = Ei_util.Key.to_hex
 
 let describe_request { id; op } =
   match op with

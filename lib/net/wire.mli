@@ -1,22 +1,14 @@
-(** Length-prefixed, CRC-framed binary codec for the network protocol.
-
-    Wire layout of one frame (all integers little-endian), the same
-    shape as the WAL record codec ({!Ei_wal.Frame}):
-
-    {v u32 payload_len | u32 crc32(payload) | payload v}
-
-    where [payload] starts with a [u8] tag and a [u64] request id.
-    Requests carry an operation over a key (tags 1–5: insert, remove,
-    update, find, scan); replies carry the typed outcome (tags 16–19:
-    applied-with-result, rejected, timed-out, busy).  Clients never
-    supply row ids: the server assigns tids, and [Find] returns the
-    tid as an opaque handle.
+(** The network protocol codec: the tags and fields of requests and
+    replies inside the {!Ei_wal.Envelope} frame, whose payload id is
+    the request id.  Requests carry an operation over a key (tags 1–5:
+    insert, remove, update, find, scan); replies carry the typed
+    outcome (tags 16–19: applied-with-result, rejected, timed-out,
+    busy).  Clients never supply row ids: the server assigns tids, and
+    [Find] returns the tid as an opaque handle.
 
     The decoder is total and incremental: missing bytes are {!More}
-    (not an error — feed the rest), while every definite protocol
-    violation — implausible length field, CRC mismatch, bad tag,
-    field overrun, trailing payload bytes — is {!Corrupt}, never an
-    exception and never a wrong value. *)
+    (feed the rest), every definite protocol violation is {!Corrupt},
+    never an exception and never a wrong value. *)
 
 type op =
   | Insert of string
@@ -69,6 +61,4 @@ val encode_reply : reply -> string
 
 val decode_request : string -> pos:int -> request progress
 val decode_reply : string -> pos:int -> reply progress
-(** Decode one frame starting at [pos].  The length field is bounded
-    before any buffering decision, so a length-field lie can never
-    make a reader wait for (or allocate) an unbounded frame. *)
+(** Decode one frame starting at [pos] (see {!Ei_wal.Envelope.read}). *)

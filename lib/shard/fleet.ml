@@ -85,6 +85,7 @@ let start c =
 
 let stop t = Serve.stop t.serve
 
+(* Client-side batch size; Serve re-partitions each batch by shard. *)
 let batch = 512
 
 let exec ?(stop = fun () -> false) t ops =

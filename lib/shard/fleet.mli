@@ -51,10 +51,7 @@ val start : config -> t
 
 val stop : t -> unit
 
-val batch : int
-(** Operations per {!exec} call to {!Serve.exec}: 512. *)
-
 val exec : ?stop:(unit -> bool) -> t -> Serve.op array -> int
-(** Apply [ops] in {!batch}-op calls, in order, and return how many were
-    shed ([Rejected] or [Timed_out]).  [stop] is polled before each
-    call; once it answers [true] the rest is skipped. *)
+(** Apply [ops] in order, in 512-op {!Serve.exec} calls, and return how
+    many were shed ([Rejected] or [Timed_out]).  [stop] is polled
+    before each call; once it answers [true] the rest is skipped. *)

@@ -992,7 +992,6 @@ let stop t =
       | None -> ())
     t.shards
 
-let router t = t.router
 let shard_sizes t = Array.map Atomic.get t.sizes
 let batches t = Atomic.get t.batches
 let rebalances t = Atomic.get t.rebalances
@@ -1005,9 +1004,6 @@ let recovery_log t =
   let l = List.rev t.log in
   Mutex.unlock t.log_lock;
   List.map (fun r -> (r.r_shard, r.r_cause, r.r_rows)) l
-
-let quarantined t =
-  Array.map (fun st -> Atomic.get st.status = st_quarantined) t.shards
 
 (* Running, with no current-generation failure awaiting recovery.  A
    stale-generation park (an abandoned zombie dying late) does not
@@ -1297,80 +1293,3 @@ let exec ?collect ?timeout_s ?(barrier = false) t (ops : op array) =
     end
   end;
   outcomes
-
-(* --- The serving layer as a uniform index ---------------------------- *)
-
-let index_ops ?(name = "served") t =
-  let one op = (exec t [| op |]).(0) in
-  let parts = Shard.parts t.router in
-  {
-    Index_ops.name;
-    backend = Index_ops.B_composite parts;
-    key_len = Shard.key_len t.router;
-    insert =
-      (fun k tid ->
-        match one (Insert (k, tid)) with
-        | Applied r -> r = 1
-        | Rejected | Timed_out -> false);
-    remove =
-      (fun k ->
-        match one (Remove k) with
-        | Applied r -> r = 1
-        | Rejected | Timed_out -> false);
-    update =
-      (fun k tid ->
-        match one (Update (k, tid)) with
-        | Applied r -> r = 1
-        | Rejected | Timed_out -> false);
-    find =
-      (fun k ->
-        match one (Find k) with
-        | Applied tid when tid >= 0 -> Some tid
-        | Applied _ | Rejected | Timed_out -> None);
-    multi_find =
-      (* one exec round: [run_round] buckets the reads per shard, and
-         each shard domain answers its sub-batch through the grouped
-         descent path of [shard_apply] *)
-      (fun keys ->
-        let outcomes = exec t (Array.map (fun k -> Find k) keys) in
-        Array.map
-          (function
-            | Applied tid when tid >= 0 -> Some tid
-            | Applied _ | Rejected | Timed_out -> None)
-          outcomes);
-    scan =
-      (fun start n ->
-        match one (Scan (start, n)) with
-        | Applied c -> c
-        | Rejected | Timed_out -> 0);
-    scan_keys =
-      (fun start n visit ->
-        match (exec ~collect:visit t [| Scan (start, n) |]).(0) with
-        | Applied c -> c
-        | Rejected | Timed_out -> 0);
-    memory_bytes =
-      (* published sizes: safe to read while shard domains run *)
-      (fun () -> Array.fold_left ( + ) 0 (shard_sizes t));
-    count =
-      (* full per-part counts; quiesce mutators first (as with any
-         single-index [count] on a concurrent tree) *)
-      (fun () -> Array.fold_left (fun a p -> a + p.Index_ops.count ()) 0 parts);
-    set_size_bound =
-      (* even split through the queues; the periodic coordinator's
-         demand-weighted split supersedes it at the next interval *)
-      (fun bound ->
-        let per = max 1 (bound / Array.length t.shards) in
-        Array.iter
-          (fun st ->
-            match
-              Mpsc_queue.push ~inject:false (Atomic.get st.queue)
-                (Set_bound per)
-            with
-            | () -> ()
-            | exception Mpsc_queue.Closed -> ())
-          t.shards);
-    info =
-      (fun () ->
-        Printf.sprintf "%d shards, %d batches, %d rebalances, %d recoveries"
-          (Array.length parts) (batches t) (rebalances t) (recoveries t));
-  }

@@ -18,14 +18,9 @@ val parts : t -> Ei_harness.Index_ops.t array
 val key_len : t -> int
 
 val shard_of_key : t -> string -> int
-val part_for : t -> string -> Ei_harness.Index_ops.t
 
 val memory_bytes : t -> int
 val count : t -> int
-
-val set_size_bound : t -> int -> unit
-(** Split a global bound evenly across the parts (static fallback; the
-    {!Serve} coordinator's demand-weighted split supersedes this). *)
 
 val index_ops : ?name:string -> t -> Ei_harness.Index_ops.t
 (** The router as a uniform index ([backend = B_composite]); single

@@ -2,9 +2,8 @@
 
    Table-driven.  The 256 table words are built when the module is
    initialised, never lazily: two domains forcing one [lazy] at the
-   same time raise [CamlinternalLazy.Undefined], which is what two
-   shard WAL writers committing their first batch together used to
-   hit.  The words live in an immutable string, one native-endian
+   same time raise [CamlinternalLazy.Undefined], and two shard WAL
+   writers committing their first batch together do exactly that.  The words live in an immutable string, one native-endian
    64-bit slot each, so every domain may read the table with no guard;
    the unchecked 8-byte load keeps the lookup as cheap as an int-array
    read.  The 32-bit digest fits a non-negative OCaml int on 64-bit

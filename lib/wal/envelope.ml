@@ -77,7 +77,3 @@ let read ~max_payload parse s ~pos =
         | exception Bad_field msg -> Error (Bad msg)
     end
   end
-
-let hex s =
-  String.concat ""
-    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))

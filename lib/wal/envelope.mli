@@ -37,6 +37,3 @@ val read :
     parses the payload, requires it consumed exactly, and returns the
     value and the position after the frame.  A field reader running
     past the payload or a failed {!bad} make it [Bad]. *)
-
-val hex : string -> string
-(** Lower-case hex of a byte string (keys in diagnostics). *)

@@ -25,7 +25,7 @@ let lsn = function
     ->
     lsn
 
-let hex = Envelope.hex
+let hex = Ei_util.Key.to_hex
 
 let describe = function
   | Insert { lsn; key; tid } ->

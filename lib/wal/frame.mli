@@ -1,11 +1,8 @@
-(** The WAL record codec: length-prefixed, CRC-32-framed binary frames.
-
-    One frame is [u32 payload_len | u32 crc32(payload) | payload], all
-    little-endian; the payload carries a tag byte, the record's LSN and
-    the tag-specific fields.  Decoding is {e total}: truncated, torn or
-    bit-flipped input yields [Error], never an exception and never a
-    wrong record — the property the adversarial qcheck suite pins
-    down, and what makes torn-tail truncation during recovery safe. *)
+(** The WAL record codec: the tags and fields of WAL records inside
+    the {!Envelope} frame, whose payload id is the record's LSN.
+    Decoding is {e total}: truncated, torn or bit-flipped input yields
+    [Error], never an exception and never a wrong record — what makes
+    torn-tail truncation during recovery safe. *)
 
 type record =
   | Insert of { lsn : int; key : string; tid : int }
@@ -28,10 +25,8 @@ val encode_into : Buffer.t -> record -> unit
 
 val decode : string -> pos:int -> (record * int, string) result
 (** [decode s ~pos] reads one frame starting at [pos] and returns the
-    record plus the position one past it.  Any malformation — short
-    header, implausible length, truncated payload, CRC mismatch,
-    unknown tag, payload size disagreement — is [Error]; the function
-    never raises on any input. *)
+    record plus the position one past it; any malformation is
+    [Error]. *)
 
 val decode_all : string -> record list * (int * string) option
 (** Decode frames from position 0 until the end of the string or the
