@@ -1084,7 +1084,7 @@ let run_obs_fleet ~shards ~records ~ops ~update_pct ~pct ~seed ?wal_dir ~phase
     (Serve.default_coordinator ~global_bound:(max 1 (global_bound / 2)));
   churn (ops - (ops / 2));
   phase "churn-slashed";
-  Fleet.stop fleet;
+  Serve.stop serve;
   phase "drain";
   (!shed, fleet)
 

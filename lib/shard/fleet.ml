@@ -83,8 +83,6 @@ let start c =
   in
   { table; router; serve; part }
 
-let stop t = Serve.stop t.serve
-
 (* Client-side batch size; Serve re-partitions each batch by shard. *)
 let batch = 512
 

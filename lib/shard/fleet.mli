@@ -49,8 +49,6 @@ val start : config -> t
     then {!Serve.start} them.  With a WAL every part is recovered from
     disk before any domain runs. *)
 
-val stop : t -> unit
-
 val exec : ?stop:(unit -> bool) -> t -> Serve.op array -> int
 (** Apply [ops] in order, in 512-op {!Serve.exec} calls, and return how
     many were shed ([Rejected] or [Timed_out]).  [stop] is polled
