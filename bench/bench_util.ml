@@ -50,13 +50,10 @@ let median_mops ?(warmup = 1) ?(repeat = 3) ops f =
 
 (* Every experiment appends one JSON object per measurement, one per
    line (JSON Lines), so the perf trajectory of the repo is diffable
-   across commits.  [reset] truncates at suite start. *)
+   across commits.  Runs only ever append: rows record [scale] and
+   [seed], so a smoke run's rows sit beside the full-scale ones. *)
 
 let results_file = "BENCH_results.json"
-
-let reset_results () =
-  let oc = open_out results_file in
-  close_out oc
 
 (* [emit ~name ~params ~ops_per_sec ~bytes] appends one record.
    [params] is a list of (key, value) strings describing the

@@ -40,9 +40,10 @@
    soak — and merely counts the unsettled ones.
 
    The row table is deliberately under-sized: client appends grow it
-   mid-run while supervised shard domains mark row liveness, which the
-   growth-stable chunked liveness store ({!Ei_storage.Table}) makes
-   safe — the soak exercises exactly that race. *)
+   mid-run while supervised shard domains mark row liveness (without a
+   WAL; a durable soak marks none), which the growth-stable chunked
+   liveness store ({!Ei_storage.Table}) makes safe — the in-memory
+   soak exercises exactly that race. *)
 
 module Fault = Ei_fault.Fault
 module Table = Ei_storage.Table

@@ -160,6 +160,19 @@ let checksum = ref 0
 (* Scanned keys are folded into this sink so the compiler cannot elide
    the key materialisation work. *)
 
+(* Every adapter's [scan_keys] is its backend's [fold_range] counting
+   the visited keys, and its [scan] is [scan_keys] into [checksum]. *)
+let scan_keys_of fold_range start n visit =
+  fold_range ~start ~n
+    (fun acc k _ ->
+      visit k;
+      acc + 1)
+    0
+
+let scan_of scan_keys start n =
+  scan_keys start n (fun k ->
+      checksum := !checksum lxor Char.code (String.unsafe_get k 0))
+
 (* Order-sensitive digest of the full contents: FNV-1a chained over
    every (key, tid) pair in key order, starting from the all-zero key
    (the minimum of the fixed-length big-endian key space).  Two indexes
@@ -178,6 +191,7 @@ let fingerprint (ix : t) =
   !h
 
 let of_btree name (tree : Ei_btree.Btree.t) =
+  let scan_keys = scan_keys_of (Ei_btree.Btree.fold_range tree) in
   {
     name;
     backend = B_btree tree;
@@ -187,20 +201,8 @@ let of_btree name (tree : Ei_btree.Btree.t) =
     update = Ei_btree.Btree.update tree;
     find = Ei_btree.Btree.find tree;
     multi_find = Ei_btree.Btree.multi_find tree;
-    scan =
-      (fun start n ->
-        Ei_btree.Btree.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_btree.Btree.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = scan_of scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_btree.Btree.memory_bytes tree);
     count = (fun () -> Ei_btree.Btree.count tree);
     set_size_bound = no_size_bound;
@@ -208,6 +210,7 @@ let of_btree name (tree : Ei_btree.Btree.t) =
   }
 
 let of_elastic name (tree : Ei_core.Elastic_btree.t) =
+  let scan_keys = scan_keys_of (Ei_core.Elastic_btree.fold_range tree) in
   {
     name;
     backend = B_elastic tree;
@@ -220,20 +223,8 @@ let of_elastic name (tree : Ei_core.Elastic_btree.t) =
       (* the elastic wrapper delegates point ops to the inner tree, so
          group descent over it is the same lookup the [find] above runs *)
       Ei_btree.Btree.multi_find (Ei_core.Elastic_btree.tree tree);
-    scan =
-      (fun start n ->
-        Ei_core.Elastic_btree.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_core.Elastic_btree.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = scan_of scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_core.Elastic_btree.memory_bytes tree);
     count = (fun () -> Ei_core.Elastic_btree.count tree);
     set_size_bound = Ei_core.Elastic_btree.set_size_bound tree;
@@ -243,6 +234,7 @@ let of_elastic name (tree : Ei_core.Elastic_btree.t) =
   }
 
 let of_radix name (tree : Ei_baselines.Radix.t) =
+  let scan_keys = scan_keys_of (Ei_baselines.Radix.fold_range tree) in
   {
     name;
     backend = B_radix tree;
@@ -252,20 +244,8 @@ let of_radix name (tree : Ei_baselines.Radix.t) =
     update = Ei_baselines.Radix.update tree;
     find = Ei_baselines.Radix.find tree;
     multi_find = multi_of_find (Ei_baselines.Radix.find tree);
-    scan =
-      (fun start n ->
-        Ei_baselines.Radix.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_baselines.Radix.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = scan_of scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_baselines.Radix.memory_bytes tree);
     count = (fun () -> Ei_baselines.Radix.count tree);
     set_size_bound = no_size_bound;
@@ -273,6 +253,7 @@ let of_radix name (tree : Ei_baselines.Radix.t) =
   }
 
 let of_elastic_skiplist name (tree : Ei_core.Elastic_skiplist.t) =
+  let scan_keys = scan_keys_of (Ei_core.Elastic_skiplist.fold_range tree) in
   {
     name;
     backend = B_elastic_skiplist tree;
@@ -282,20 +263,8 @@ let of_elastic_skiplist name (tree : Ei_core.Elastic_skiplist.t) =
     update = Ei_core.Elastic_skiplist.update_value tree;
     find = Ei_core.Elastic_skiplist.find tree;
     multi_find = multi_of_find (Ei_core.Elastic_skiplist.find tree);
-    scan =
-      (fun start n ->
-        Ei_core.Elastic_skiplist.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_core.Elastic_skiplist.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = scan_of scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_core.Elastic_skiplist.memory_bytes tree);
     count = (fun () -> Ei_core.Elastic_skiplist.count tree);
     set_size_bound = Ei_core.Elastic_skiplist.set_size_bound tree;
@@ -305,6 +274,7 @@ let of_elastic_skiplist name (tree : Ei_core.Elastic_skiplist.t) =
   }
 
 let of_hybrid name (tree : Ei_baselines.Hybrid.t) =
+  let scan_keys = scan_keys_of (Ei_baselines.Hybrid.fold_range tree) in
   {
     name;
     backend = B_hybrid tree;
@@ -314,20 +284,8 @@ let of_hybrid name (tree : Ei_baselines.Hybrid.t) =
     update = Ei_baselines.Hybrid.update tree;
     find = Ei_baselines.Hybrid.find tree;
     multi_find = multi_of_find (Ei_baselines.Hybrid.find tree);
-    scan =
-      (fun start n ->
-        Ei_baselines.Hybrid.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_baselines.Hybrid.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = scan_of scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_baselines.Hybrid.memory_bytes tree);
     count = (fun () -> Ei_baselines.Hybrid.count tree);
     set_size_bound = no_size_bound;
@@ -338,6 +296,7 @@ let of_hybrid name (tree : Ei_baselines.Hybrid.t) =
   }
 
 let of_skiplist name (tree : Ei_baselines.Skiplist.t) =
+  let scan_keys = scan_keys_of (Ei_baselines.Skiplist.fold_range tree) in
   {
     name;
     backend = B_skiplist tree;
@@ -347,20 +306,8 @@ let of_skiplist name (tree : Ei_baselines.Skiplist.t) =
     update = Ei_baselines.Skiplist.update tree;
     find = Ei_baselines.Skiplist.find tree;
     multi_find = multi_of_find (Ei_baselines.Skiplist.find tree);
-    scan =
-      (fun start n ->
-        Ei_baselines.Skiplist.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Ei_baselines.Skiplist.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = scan_of scan_keys;
+    scan_keys;
     memory_bytes = (fun () -> Ei_baselines.Skiplist.memory_bytes tree);
     count = (fun () -> Ei_baselines.Skiplist.count tree);
     set_size_bound = no_size_bound;
@@ -370,6 +317,7 @@ let of_skiplist name (tree : Ei_baselines.Skiplist.t) =
 let of_olc name (tree : Ei_olc.Btree_olc.t) =
   let module Olc = Ei_olc.Btree_olc in
   let elastic = not (String.equal (Olc.elastic_state_name tree) "") in
+  let scan_keys = scan_keys_of (Olc.fold_range tree) in
   {
     name;
     backend = B_olc tree;
@@ -379,20 +327,8 @@ let of_olc name (tree : Ei_olc.Btree_olc.t) =
     update = Olc.update tree;
     find = Olc.find tree;
     multi_find = Olc.multi_find tree;
-    scan =
-      (fun start n ->
-        Olc.fold_range tree ~start ~n
-          (fun acc k _ ->
-            checksum := !checksum lxor Char.code (String.unsafe_get k 0);
-            acc + 1)
-          0);
-    scan_keys =
-      (fun start n visit ->
-        Olc.fold_range tree ~start ~n
-          (fun acc k _ ->
-            visit k;
-            acc + 1)
-          0);
+    scan = scan_of scan_keys;
+    scan_keys;
     memory_bytes =
       (* the elastic tracker is the only size that is safe to read while
          other domains mutate; [Olc.memory_bytes] is a full traversal *)

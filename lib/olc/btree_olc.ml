@@ -584,30 +584,42 @@ let with_restart f =
   in
   go 0
 
+(* The root pointer and the root's version, read optimistically: the
+   start of every descent. *)
+let root_read t =
+  let rv = read_lock t.root_lock in
+  let node = t.root in
+  let nv = read_lock (node_version node) in
+  check t.root_lock rv;
+  (node, nv)
+
+(* The optimistic read descent to [key]'s leaf, validating each inner
+   node's version after reading its child pointer.  Returns the leaf and
+   the version observed on it, which the caller validates after reading
+   the leaf or upgrades to write it.  Runs inside [with_restart]. *)
+let descend t key =
+  let rec go node nv =
+    match node with
+    | Leaf l -> (l, nv)
+    | Inner nd ->
+      let child = nd.children.(child_index nd key) in
+      let cv = read_lock (node_version child) in
+      check nd.iversion nv;
+      go child cv
+  in
+  let node, nv = root_read t in
+  go node nv
+
 let find t key =
   with_restart (fun () ->
-      let rv = read_lock t.root_lock in
-      let node = t.root in
-      let nv = read_lock (node_version node) in
-      check t.root_lock rv;
-      let rec go node nv =
-        match node with
-        | Leaf l ->
-          let r =
-            match l.repr with
-            | Lstd x -> Std_leaf.find x key
-            | Lseq x -> Seqtree.find x ~load:t.load key
-          in
-          check l.lversion nv;
-          r
-        | Inner nd ->
-          let i = child_index nd key in
-          let child = nd.children.(i) in
-          let cv = read_lock (node_version child) in
-          check nd.iversion nv;
-          go child cv
+      let l, nv = descend t key in
+      let r =
+        match l.repr with
+        | Lstd x -> Std_leaf.find x key
+        | Lseq x -> Seqtree.find x ~load:t.load key
       in
-      go node nv)
+      check l.lversion nv;
+      r)
 
 let mem t key = Option.is_some (find t key)
 
@@ -641,12 +653,7 @@ let multi_find ?(group = 8) t keys =
         | Restart | Invalid_argument _ | Assert_failure _ -> true
         | _ -> false)
       ~n
-      ~start:(fun _ ->
-        let rv = read_lock t.root_lock in
-        let node = t.root in
-        let nv = read_lock (node_version node) in
-        check t.root_lock rv;
-        (node, nv))
+      ~start:(fun _ -> root_read t)
       ~step:(fun i (node, nv) ->
         let key = keys.(first + i) in
         match node with
@@ -750,109 +757,67 @@ let insert t key tid =
 let remove t key =
   (* Lazy deletion: lock the leaf and remove; leaves are never merged. *)
   with_restart (fun () ->
-      let rv = read_lock t.root_lock in
-      let node = t.root in
-      let nv = read_lock (node_version node) in
-      check t.root_lock rv;
-      let rec go node nv =
-        match node with
-        | Leaf l ->
-          upgrade_or_restart l.lversion nv;
-          let r =
-            critical l.lversion (fun () ->
-                let before = leaf_bytes l in
-                let r =
-                  match l.repr with
-                  | Lstd x -> (
-                    match Std_leaf.remove x key with
-                    | Std_leaf.Removed -> true
-                    | Std_leaf.Not_present -> false)
-                  | Lseq x -> (
-                    match Seqtree.remove x ~load:t.load key with
-                    | Seqtree.Removed -> true
-                    | Seqtree.Not_present -> false)
+      let l, nv = descend t key in
+      upgrade_or_restart l.lversion nv;
+      let r =
+        critical l.lversion (fun () ->
+            let before = leaf_bytes l in
+            let r =
+              match l.repr with
+              | Lstd x -> (
+                match Std_leaf.remove x key with
+                | Std_leaf.Removed -> true
+                | Std_leaf.Not_present -> false)
+              | Lseq x -> (
+                match Seqtree.remove x ~load:t.load key with
+                | Seqtree.Removed -> true
+                | Seqtree.Not_present -> false)
+            in
+            account t (leaf_bytes l - before);
+            (* Elastic underflow: a compact leaf below the §4 invariant
+               shrinks back down the capacity progression, while holding
+               the write lock. *)
+            (match (t.elastic, l.repr) with
+            | Some e, Lseq x when r ->
+              let c = Seqtree.capacity x in
+              if Seqtree.count x < (c / 2) + 1 then begin
+                let capacity =
+                  if c / 2 > t.leaf_capacity then c / 2 else 0
                 in
-                account t (leaf_bytes l - before);
-                (* Elastic underflow: a compact leaf below the §4
-                   invariant shrinks back down the capacity progression,
-                   while holding the write lock. *)
-                (match (t.elastic, l.repr) with
-                | Some e, Lseq x when r ->
-                  let c = Seqtree.capacity x in
-                  if Seqtree.count x < (c / 2) + 1 then begin
-                    let capacity =
-                      if c / 2 > t.leaf_capacity then c / 2 else 0
-                    in
-                    convert_locked_leaf t l
-                      ~capacity:(max capacity t.leaf_capacity)
-                      ~levels:e.cfg.seq_levels ~breathing:e.cfg.breathing
-                  end
-                | _ -> ());
-                update_elastic_state t;
-                r)
-          in
-          write_unlock l.lversion;
-          r
-        | Inner nd ->
-          let i = child_index nd key in
-          let child = nd.children.(i) in
-          let cv = read_lock (node_version child) in
-          check nd.iversion nv;
-          go child cv
+                convert_locked_leaf t l
+                  ~capacity:(max capacity t.leaf_capacity)
+                  ~levels:e.cfg.seq_levels ~breathing:e.cfg.breathing
+              end
+            | _ -> ());
+            update_elastic_state t;
+            r)
       in
-      go node nv)
+      write_unlock l.lversion;
+      r)
 
 (* In-place value overwrite: lock the leaf and replace the tid of an
    existing key.  No size change, so no elastic accounting. *)
 let update t key tid =
   with_restart (fun () ->
-      let rv = read_lock t.root_lock in
-      let node = t.root in
-      let nv = read_lock (node_version node) in
-      check t.root_lock rv;
-      let rec go node nv =
-        match node with
-        | Leaf l ->
-          upgrade_or_restart l.lversion nv;
-          let r =
-            critical l.lversion (fun () ->
-                match l.repr with
-                | Lstd x -> Std_leaf.update x key tid
-                | Lseq x -> Seqtree.update x ~load:t.load key tid)
-          in
-          write_unlock l.lversion;
-          r
-        | Inner nd ->
-          let i = child_index nd key in
-          let child = nd.children.(i) in
-          let cv = read_lock (node_version child) in
-          check nd.iversion nv;
-          go child cv
+      let l, nv = descend t key in
+      upgrade_or_restart l.lversion nv;
+      let r =
+        critical l.lversion (fun () ->
+            match l.repr with
+            | Lstd x -> Std_leaf.update x key tid
+            | Lseq x -> Seqtree.update x ~load:t.load key tid)
       in
-      go node nv)
+      write_unlock l.lversion;
+      r)
 
 (* Range scan: locate the start leaf, then walk the immutable sibling
    chain, validating each leaf's version around its snapshot. *)
 let fold_range t ~start ~n f acc =
   let first =
     with_restart (fun () ->
-        let rv = read_lock t.root_lock in
-        let node = t.root in
-        let nv = read_lock (node_version node) in
-        check t.root_lock rv;
-        let rec go node nv =
-          match node with
-          | Leaf l ->
-            check l.lversion nv;
-            l
-          | Inner nd ->
-            let i = child_index nd start in
-            let child = nd.children.(i) in
-            let cv = read_lock (node_version child) in
-            check nd.iversion nv;
-            go child cv
-        in
-        go node nv)
+        let l, nv = descend t start in
+        check l.lversion nv;
+        l)
   in
   (* Snapshot one leaf's entries >= start (with key loads for compact
      leaves), retrying on version conflicts. *)

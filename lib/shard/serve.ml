@@ -31,9 +31,10 @@
    exponential backoff until recovery or their deadline), close and
    drain the dead queue (failing the pending sub-batches so clients
    observe [Timed_out] rather than hanging), rebuild the part from the
-   {!Ei_storage.Table} row table — the source of truth for acknowledged
-   writes: shard domains maintain per-row liveness as they apply —
-   re-spawn the domain on a fresh queue, and re-admit the shard.  A
+   source of truth for acknowledged writes — the WAL of a durable
+   shard, else the {!Ei_storage.Table} row table, whose per-row
+   liveness the domains of a WAL-less supervised fleet maintain as they
+   apply — re-spawn the domain on a fresh queue, and re-admit the shard.  A
    per-operation generation fence keeps an abandoned wedged domain from
    applying or acknowledging anything if it ever wakes: it stops within
    one op, never touches the replacement part (each domain captures its
@@ -226,8 +227,6 @@ type t = {
   coordinator : coordinator_config option;
   supervisor : supervisor_config option;
   timeout_s : float option;  (* default exec deadline *)
-  batch : int;
-  queue_capacity : int;
   fault_prefix : string option;
   wal_cfg : Wal.config option;
   wal_restore : (tid:int -> key:string -> unit) option;
@@ -242,6 +241,11 @@ type t = {
 
 let now () = Unix.gettimeofday ()
 
+(* Per-shard queue bound (producers block when full) and the most
+   sub-batches a shard domain drains per wakeup. *)
+let queue_capacity = 64
+let batch = 32
+
 (* --- Shard domains --------------------------------------------------- *)
 
 let apply (ix : Index_ops.t) collect op =
@@ -255,11 +259,13 @@ let apply (ix : Index_ops.t) collect op =
     | Some visit -> ix.Index_ops.scan_keys k n visit
     | None -> ix.Index_ops.scan k n)
 
-(* Supervised apply additionally maintains per-row liveness in the row
-   table, keeping it the source of truth a recovery rebuilds from.  An
-   op marks only after the index accepted it, so a row is never live
-   without having been applied; removes and updates look the old tid up
-   first because the index is the only map from key to tid. *)
+(* Supervised apply without a WAL additionally maintains per-row
+   liveness in the row table, keeping it the source of truth a recovery
+   rebuilds from ([Table.fold_live]; a durable shard rebuilds from its
+   WAL and reads no marks).  An op marks only after the index accepted
+   it, so a row is never live without having been applied; removes and
+   updates look the old tid up first because the index is the only map
+   from key to tid. *)
 let apply_logged table (ix : Index_ops.t) collect op =
   match op with
   | Insert (k, tid) ->
@@ -356,9 +362,9 @@ let shard_apply t i ~gen (st : shard_state) part ~wal ~defer sub =
      [None] branch per result (the append-site cost of durability
      off). *)
   let put s v =
-    match defer with
+    match wal with
     | None -> sub.results.(s) <- v
-    | Some buf -> buf := (sub.results, s, v) :: !buf
+    | Some _ -> defer := (sub.results, s, v) :: !defer
   in
   (* An accepted mutation is framed into the WAL buffer right after the
      index applied it; rejected or no-op outcomes (r <> 1) log nothing,
@@ -379,9 +385,10 @@ let shard_apply t i ~gen (st : shard_state) part ~wal ~defer sub =
   let apply_one j =
     let r =
       try
-        match t.supervisor with
-        | Some scfg -> apply_logged scfg.table part sub.collect sub.sops.(j)
-        | None -> apply part sub.collect sub.sops.(j)
+        match (t.supervisor, wal) with
+        | Some scfg, None ->
+          apply_logged scfg.table part sub.collect sub.sops.(j)
+        | _ -> apply part sub.collect sub.sops.(j)
       with Fault.Injected _ -> rejected_code
     in
     log_write j r;
@@ -495,7 +502,7 @@ let shard_loop t i ~gen ?wal q =
       msgs
   in
   let rec loop () =
-    match Mpsc_queue.pop_batch q ~max:t.batch with
+    match Mpsc_queue.pop_batch q ~max:batch with
     | [] -> ()  (* closed and drained: the domain exits *)
     | msgs ->
       (* Generation fence: a wedged domain the supervisor abandoned and
@@ -532,95 +539,73 @@ let shard_loop t i ~gen ?wal q =
           end;
           loop ()
         in
-        match wal with
-        | None ->
-          let rec process = function
-            | [] -> finish_batch ()
-            | Set_bound b :: rest ->
-              part.Index_ops.set_size_bound b;
-              process rest
-            | Work sub :: rest -> (
-              match shard_apply t i ~gen st part ~wal:None ~defer:None sub with
-              | () ->
-                complete sub.waiter;
-                process rest
-              | exception Stale_generation ->
-                (* Abandoned mid-batch: stop without parking — the parked
-                   slot belongs to the replacement's world — and fail
-                   whatever was popped but not applied. *)
-                complete sub.waiter;
-                fail_popped rest
-              | exception e ->
-                (* Dying mid-sub: park the failure before waking the
-                   client — a client that observed the timeout must
-                   also observe the fleet as unhealthy until recovery
-                   completes — then let the exception reach the
-                   supervisor.  Applied slots stand; untouched slots
-                   read as timed out. *)
-                park st ~gen e;
-                complete sub.waiter;
-                raise e)
-          in
-          process msgs
-        | Some w ->
-          (* Group commit: results and acks for the whole drained batch
-             are held back until one [Wal.commit] at the end has made
-             every accepted mutation durable — ack ⇒ framed + fsynced.
-             If the commit (or anything before it) dies, the deferred
-             results are discarded: slots keep the pending sentinel,
-             clients observe [Timed_out], and the supervisor rebuilds
-             the shard from disk — acknowledged and durable stay the
-             same set. *)
-          let defer = ref [] in
-          let acked = ref [] in
-          let release_acks () = List.iter complete (List.rev !acked) in
-          let rec process_wal = function
-            | [] -> (
+        (* One batch loop for both durability modes.  Without a WAL a
+           sub-batch's results land as it applies and its waiter
+           completes right after.  With a WAL (group commit) results go
+           to [defer] and waiters to [acked], both held back until one
+           [Wal.commit] at the end has made every accepted mutation
+           durable — ack ⇒ framed + fsynced.  If the commit (or anything
+           before it) dies, the deferred results are discarded: slots
+           keep the pending sentinel, clients observe [Timed_out], and
+           the supervisor rebuilds the shard from disk — acknowledged
+           and durable stay the same set. *)
+        let defer = ref [] in
+        let acked = ref [] in
+        let release_acks () = List.iter complete (List.rev !acked) in
+        (* Dying mid-batch: park the failure before waking the held
+           waiters — a client that observed the timeout must also
+           observe the fleet as unhealthy until recovery completes —
+           then let the exception reach the supervisor. *)
+        let die e =
+          park st ~gen e;
+          release_acks ();
+          raise e
+        in
+        let rec process = function
+          | [] ->
+            (match wal with
+            | None -> ()
+            | Some w -> (
               match Wal.commit w ~part with
               | () ->
-                List.iter
-                  (fun (res, s, v) -> res.(s) <- v)
-                  (List.rev !defer);
-                release_acks ();
-                finish_batch ()
+                List.iter (fun (res, s, v) -> res.(s) <- v) (List.rev !defer);
+                release_acks ()
               | exception e ->
-                (* The batch is applied in memory but not durable: wake
-                   the waiters with their slots untouched (Timed_out)
-                   and let the supervisor replace this part with the
-                   recovered-from-disk one. *)
+                (* Applied in memory but not durable: the supervisor
+                   replaces this part with the recovered-from-disk one. *)
                 Flight.trigger ~reason:"wal-commit-failure"
                   ~detail:
                     (Printf.sprintf "shard %d: %s" i (Printexc.to_string e));
-                park st ~gen e;
+                die e));
+            finish_batch ()
+          | Set_bound b :: rest ->
+            part.Index_ops.set_size_bound b;
+            (match wal with
+            | Some w -> ( try Wal.log_bound w b with e -> die e)
+            | None -> ());
+            process rest
+          | Work sub :: rest -> (
+            match shard_apply t i ~gen st part ~wal ~defer sub with
+            | () ->
+              (match wal with
+              | None -> complete sub.waiter
+              | Some _ -> acked := sub.waiter :: !acked);
+              process rest
+            | exception e -> (
+              (* The dying sub is woken with the held ones: its applied
+                 slots stand without a WAL, and untouched slots read as
+                 timed out. *)
+              acked := sub.waiter :: !acked;
+              match e with
+              | Stale_generation ->
+                (* Abandoned mid-batch: stop without parking — the
+                   parked slot belongs to the replacement's world — and
+                   fail whatever was popped but not applied. *)
                 release_acks ();
-                raise e)
-            | Set_bound b :: rest -> (
-              part.Index_ops.set_size_bound b;
-              match Wal.log_bound w b with
-              | () -> process_wal rest
-              | exception e ->
-                park st ~gen e;
-                release_acks ();
-                raise e)
-            | Work sub :: rest -> (
-              match shard_apply t i ~gen st part ~wal ~defer:(Some defer) sub with
-              | () ->
-                acked := sub.waiter :: !acked;
-                process_wal rest
-              | exception Stale_generation ->
-                (* Abandoned mid-batch: nothing of this batch was
-                   released, so waking every collected waiter with its
-                   slots still pending is the usual Timed_out path. *)
-                release_acks ();
-                complete sub.waiter;
                 fail_popped rest
-              | exception e ->
-                park st ~gen e;
-                release_acks ();
-                complete sub.waiter;
-                raise e)
-          in
-          process_wal msgs
+              | e -> die e))
+        in
+        process msgs
       end
   in
   try loop ()
@@ -707,13 +692,13 @@ let coordinator_loop t cfg =
 
 (* --- Supervisor ------------------------------------------------------ *)
 
-let make_queue ~fault_prefix ~capacity i =
+let make_queue ~fault_prefix i =
   match fault_prefix with
   | Some p ->
     Mpsc_queue.create
       ~fault_prefix:(Printf.sprintf "%s.queue.shard%d" p i)
-      ~capacity ()
-  | None -> Mpsc_queue.create ~capacity ()
+      ~capacity:queue_capacity ()
+  | None -> Mpsc_queue.create ~capacity:queue_capacity ()
 
 let append_recovery t r =
   Mutex.lock t.log_lock;
@@ -736,6 +721,16 @@ let drain_and_fail q =
       go ()
   in
   go ()
+
+(* Open shard [i]'s WAL writer by recovering [part], handed over empty,
+   from disk: newest valid checkpoint plus log replay, rematerialising
+   table rows through [restore].  On a fresh WAL directory this just
+   opens the first segment.  The boot in [start] and every supervised
+   rebuild of a durable shard come through here. *)
+let open_wal st ?restore cfg i part =
+  let w, r = Wal.recover ?faults:st.wal_faults ?restore cfg ~shard:i ~part in
+  st.wal <- Some w;
+  r
 
 (* The recovery sequence: quarantine, fence, reap, fail pending work,
    rebuild from the row table, swap part and queue, re-spawn, re-admit.
@@ -779,11 +774,7 @@ let recover t scfg i ~cause =
     (match st.wal with
     | Some oldw -> if joined then Wal.dispose oldw else Wal.fence oldw
     | None -> ());
-    let w, r =
-      Wal.recover ?faults:st.wal_faults ?restore:t.wal_restore wcfg
-        ~shard:i ~part:fresh
-    in
-    st.wal <- Some w;
+    let r = open_wal st ?restore:t.wal_restore wcfg i fresh in
     rows := r.Wal.r_ckpt_entries + r.Wal.r_replayed
   | None ->
     (* [fold_live] over the row table replays exactly the acknowledged
@@ -814,9 +805,7 @@ let recover t scfg i ~cause =
   Trace.emit ev_rebuild i !rows;
   Atomic.set t.sizes.(i) (fresh.Index_ops.memory_bytes ());
   Atomic.set st.failed None;
-  let q =
-    make_queue ~fault_prefix:t.fault_prefix ~capacity:t.queue_capacity i
-  in
+  let q = make_queue ~fault_prefix:t.fault_prefix i in
   Atomic.set st.queue q;
   Mutex.unlock st.qlock;
   let gen = Atomic.get st.gen in
@@ -873,13 +862,13 @@ let supervisor_loop t scfg =
 
 (* --- Lifecycle ------------------------------------------------------- *)
 
-let start ?(queue_capacity = 64) ?(batch = 32) ?coordinator ?supervisor
-    ?fault_prefix ?timeout_s ?wal ?wal_restore router =
+let start ?coordinator ?supervisor ?fault_prefix ?timeout_s ?wal ?wal_restore
+    router =
   let n = Shard.shard_count router in
   let shards =
     Array.init n (fun i ->
         {
-          queue = Atomic.make (make_queue ~fault_prefix ~capacity:queue_capacity i);
+          queue = Atomic.make (make_queue ~fault_prefix i);
           status = Atomic.make st_running;
           gen = Atomic.make 0;
           heartbeat = Atomic.make 0;
@@ -906,23 +895,14 @@ let start ?(queue_capacity = 64) ?(batch = 32) ?coordinator ?supervisor
         })
   in
   (* With a WAL, every shard recovers from disk before its domain is
-     spawned: newest valid checkpoint plus log replay into the part
-     (which the caller hands over empty), rematerialising table rows
-     through [wal_restore].  On a fresh WAL directory this is a no-op
-     that just opens the first segment. *)
+     spawned. *)
   let wal_boot =
     match wal with
     | None -> []
     | Some cfg ->
       let parts = Shard.parts router in
       List.init n (fun i ->
-          let st = shards.(i) in
-          let w, r =
-            Wal.recover ?faults:st.wal_faults ?restore:wal_restore cfg
-              ~shard:i ~part:parts.(i)
-          in
-          st.wal <- Some w;
-          (i, r))
+          (i, open_wal shards.(i) ?restore:wal_restore cfg i parts.(i)))
   in
   let t =
     {
@@ -935,8 +915,6 @@ let start ?(queue_capacity = 64) ?(batch = 32) ?coordinator ?supervisor
       coordinator;
       supervisor;
       timeout_s;
-      batch;
-      queue_capacity;
       fault_prefix;
       wal_cfg = wal;
       wal_restore;

@@ -17,11 +17,11 @@
     domain that dies or wedges is detected (parked exception /
     heartbeat stall), its shard quarantined — reads degrade to direct
     single-threaded access, writes back off exponentially until
-    re-admission or their deadline — its part rebuilt from the
-    {!Ei_storage.Table} row table (the source of truth: supervised
-    shard domains maintain per-row liveness as they apply), and a
-    fresh domain re-admitted.  Recovery never loses an acknowledged
-    write: only applied operations mark the table.
+    re-admission or their deadline — its part rebuilt (from the WAL of
+    a durable fleet, else from the {!Ei_storage.Table} row table, whose
+    per-row liveness a WAL-less fleet's shard domains maintain as they
+    apply), and a fresh domain re-admitted.  Recovery never loses an
+    acknowledged write: only applied operations mark the table.
 
     Durability (optional): [start ~wal:cfg] gives every shard a
     {!Ei_wal.Wal} writer.  Mutations are framed as they apply and
@@ -96,8 +96,9 @@ val split_bounds : coordinator_config -> sizes:int array -> int array
 
 type supervisor_config = {
   table : Ei_storage.Table.t;
-      (** the row table recoveries rebuild from; supervised shard
-          domains maintain its per-row liveness as they apply.
+      (** the row table a WAL-less fleet's recoveries rebuild from; its
+          shard domains maintain per-row liveness as they apply (a
+          durable fleet rebuilds from its WAL and marks nothing).
           Growing the table while the fleet serves is safe: the
           liveness store is growth-stable (chunked pages that are
           appended, never moved — see {!Ei_storage.Table}), so a mark
@@ -111,10 +112,10 @@ type supervisor_config = {
           domain.  Must sit well above the worst-case batch time: an
           abandoned slow-but-alive domain is fenced per operation by
           its generation (it stops applying and completes its popped
-          waiters within one op of waking), but an operation it is
-          {e inside} when abandoned can still mark row liveness
-          concurrently with the rebuild — the one residual wedge
-          race *)
+          waiters within one op of waking), but on a WAL-less fleet an
+          operation it is {e inside} when abandoned can still mark row
+          liveness concurrently with the rebuild — the one residual
+          wedge race *)
 }
 
 val default_supervisor :
@@ -126,8 +127,6 @@ val default_supervisor :
 type t
 
 val start :
-  ?queue_capacity:int ->
-  ?batch:int ->
   ?coordinator:coordinator_config ->
   ?supervisor:supervisor_config ->
   ?fault_prefix:string ->
@@ -137,11 +136,11 @@ val start :
   Shard.t ->
   t
 (** Spawn one domain per shard (plus the coordinator and supervisor
-    domains when configured).  [queue_capacity] bounds each shard's
-    request queue (producers block when full); [batch] caps the
-    sub-batches drained per wakeup; [fault_prefix] arms the injection
-    sites; [timeout_s] is the default {!exec} deadline (none: block
-    until applied).
+    domains when configured).  Each shard's request queue holds 64
+    sub-batches (producers block when full) and its domain drains up to
+    32 per wakeup.  [fault_prefix] arms the injection sites;
+    [timeout_s] is the default {!exec} deadline (none: block until
+    applied).
 
     [wal] makes the shards durable: before any domain is spawned,
     every part — which must be handed over {e empty} — is recovered

@@ -2,8 +2,7 @@
 
     A tuple identifier ([tid]) is the row's index in the table.  Compact
     index nodes store only tids and load keys from the table through
-    {!loader}, modelling the paper's indirect key storage.  Every load is
-    counted so benchmarks can report indirect-access costs. *)
+    {!loader}, modelling the paper's indirect key storage. *)
 
 type t
 
@@ -16,13 +15,10 @@ val append : t -> string -> int
 (** Append a row with the given indexed key; returns its tid. *)
 
 val key : t -> int -> string
-(** Load the indexed key of a row (counted as an indirect load). *)
+(** Load the indexed key of a row (an indirect load). *)
 
 val loader : t -> int -> string
 (** [loader t] is the [load_key] closure handed to indexes. *)
-
-val loads : t -> int
-val reset_loads : t -> unit
 
 (** {2 Row liveness}
 

@@ -23,10 +23,10 @@
    manifest records the same chained FNV-1a digest Index_ops.fingerprint
    computes, so a checkpoint is validated byte-for-byte (CRC per frame)
    *and* content-for-content (digest over decoded pairs) before a
-   single entry touches the index.  At least [keep_checkpoints] (>= 2
-   by default) manifests are retained so a corrupt newest checkpoint
-   falls back to the previous one; log segments are pruned only past
-   the oldest retained checkpoint's LSN.
+   single entry touches the index.  Two manifests ([keep_checkpoints])
+   are retained so a corrupt newest checkpoint falls back to the
+   previous one; log segments are pruned only past the oldest
+   retained checkpoint's LSN.
 
    Recovery = newest valid checkpoint + ordered replay of every record
    with a larger LSN, truncating a torn tail (incomplete or
@@ -53,7 +53,6 @@ type config = {
   fsync_every : int;
   checkpoint_every : int;
   segment_bytes : int;
-  keep_checkpoints : int;
 }
 
 let default_config ~dir =
@@ -67,7 +66,6 @@ let default_config ~dir =
     fsync_every;
     checkpoint_every = 256;
     segment_bytes = 4 * 1024 * 1024;
-    keep_checkpoints = 2;
   }
 
 (* --- Fault sites ------------------------------------------------------ *)
@@ -365,12 +363,14 @@ let read_manifest path =
       e)
   | exception Sys_error msg -> Error msg
 
+(* Checkpoint generations retained: two give corrupt-newest fallback. *)
+let keep_checkpoints = 2
+
 let prune w =
-  let keep = max 1 w.cfg.keep_checkpoints in
   let ckpts = list_ckpts w.sdir in
   let rec split i = function
     | [] -> ([], [])
-    | x :: rest when i < keep ->
+    | x :: rest when i < keep_checkpoints ->
       let kept, dropped = split (i + 1) rest in
       (x :: kept, dropped)
     | dropped -> ([], dropped)

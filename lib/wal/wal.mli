@@ -17,7 +17,7 @@
     chained FNV-1a fingerprint (identical to
     {!Ei_harness.Index_ops.fingerprint}) and the elastic size bound.
     Recovery loads the newest checkpoint that validates in full
-    (falling back across [keep_checkpoints] retained generations) and
+    (falling back across the two retained generations) and
     replays every log record with a larger LSN, truncating a torn tail
     of the newest segment.  All decoding is total: corrupt bytes are
     rejected, never parsed or raised through. *)
@@ -35,14 +35,13 @@ type config = {
           n > 1 = relaxed, 0 = only at [close] *)
   checkpoint_every : int;  (** commits per checkpoint; 0 = never *)
   segment_bytes : int;  (** rotate the log past this size *)
-  keep_checkpoints : int;
-      (** checkpoint generations retained (>= 2 gives corrupt-newest
-          fallback); older ones and the segments they cover are pruned *)
 }
 
 val default_config : dir:string -> config
 (** fsync every commit ([EI_WAL_FSYNC] overrides the cadence),
-    checkpoint every 256 commits, 4 MiB segments, keep 2 checkpoints. *)
+    checkpoint every 256 commits, 4 MiB segments.  Two checkpoint
+    generations are always kept (a corrupt newest one falls back to the
+    previous); older ones and the segments they cover are pruned. *)
 
 type faults = {
   f_torn : Ei_fault.Fault.site;  (** [<p>.wal.torn.shard<i>] *)

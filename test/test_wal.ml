@@ -220,7 +220,6 @@ let test_checkpoint_fallback () =
       Wal.fsync_every = 1;
       checkpoint_every = 8;
       segment_bytes = 512;
-      keep_checkpoints = 2;
     }
   in
   let table = Table.create ~key_len:8 () in
@@ -235,7 +234,7 @@ let test_checkpoint_fallback () =
   let segs, ckpts, clean = Wal.inspect_shard ~dir ~shard:0 in
   Alcotest.(check bool) "clean marker" true clean;
   Alcotest.(check bool) "rotation happened" true (List.length segs > 1);
-  Alcotest.(check int) "retention pruned to keep_checkpoints" 2
+  Alcotest.(check int) "retention pruned to two generations" 2
     (List.length ckpts);
   List.iter
     (fun c ->
@@ -379,12 +378,16 @@ let rec wait_healthy serve =
     wait_healthy serve
   end
 
-let test_serve_crash_rebuild_from_disk () =
+(* One fault plan per case: a shard-domain crash, a torn WAL batch
+   write, a lost fsync.  The WAL cases pin the ack-after-commit rule: a
+   result scattered before [Wal.commit] returns is an acknowledged write
+   the rebuild from disk does not have. *)
+let test_serve_crash_rebuild_from_disk plan () =
   let dir = fresh_dir "serve-crash" in
   let wal = { (Wal.default_config ~dir) with Wal.checkpoint_every = 16 } in
   let shards = 2 in
   let n = 400 in
-  Fault.configure ~seed:11 [ ("serve.crash", 0.01) ];
+  Fault.configure ~seed:11 plan;
   let fleet =
     Fleet.start
       {
@@ -495,7 +498,11 @@ let () =
           Alcotest.test_case "restart from clean shutdown" `Quick
             test_serve_restart;
           Alcotest.test_case "supervisor rebuilds from disk" `Quick
-            test_serve_crash_rebuild_from_disk;
+            (test_serve_crash_rebuild_from_disk [ ("serve.crash", 0.01) ]);
+          Alcotest.test_case "rebuild from disk after torn WAL writes" `Quick
+            (test_serve_crash_rebuild_from_disk [ ("serve.wal.torn", 0.05) ]);
+          Alcotest.test_case "rebuild from disk after lost fsyncs" `Quick
+            (test_serve_crash_rebuild_from_disk [ ("serve.wal.fsync", 0.05) ]);
         ] );
       ( "chaos",
         [ Alcotest.test_case "durable soak + digest" `Quick test_chaos_wal ] );
